@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local check, in four stages:
 #   1. regular build + the whole ctest suite (use `ctest -L tier1` by hand
-#      for the fast gate);
+#      for the fast gate), then the same suite in a Release build, in
+#      parallel, so timing-sensitive tests run in both build types;
 #   2. Debug build with the translation validator between every pass
 #      (--verify=each) over examples/ and the built-in workloads, plus the
 #      fuzz shards (which use the verifier as their plan oracle);
@@ -27,6 +28,11 @@ echo "== regular build =="
 cmake -B build -S . "$@"
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== Release build (ctest -j) =="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release "$@"
+cmake --build build-release -j "$JOBS"
+ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
 echo "== verifier build (Debug, --verify=each) =="
 # Debug build so every assert is live, then the structural IR verifier and

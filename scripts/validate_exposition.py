@@ -15,7 +15,12 @@ Checks the contract scrapers rely on, family by family:
   histograms _bucket cumulative counts are monotone in le, the +Inf
              bucket exists and equals _count.
 
-Reads a file, or stdin when the argument is '-'.
+Reads a file, or stdin when the argument is '-'. With --scrape HOST:PORT it
+instead fetches GET /metrics from a live admin plane three times, 0.3 s
+apart, lints each exposition, and also fails when a sample of a family
+typed counter is lower in a later scrape than in an earlier one: a value
+that can go down must be typed gauge. Scrape while the server is under load
+for the check to mean something.
 Exit codes: 0 ok, 1 violation, 2 usage/IO error.
 """
 
@@ -23,10 +28,15 @@ import argparse
 import math
 import re
 import sys
+import time
+import urllib.request
 
 NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 TYPES = {"counter", "gauge", "summary", "histogram", "untyped"}
+# --scrape: how many expositions to fetch, and how far apart.
+SCRAPES = 3
+SCRAPE_INTERVAL_S = 0.3
 
 # One sample line: name{labels} value [timestamp]
 SAMPLE_RE = re.compile(
@@ -88,27 +98,14 @@ def parse_value(lint, line_no, text):
         return None
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("exposition", help="metrics text file, or '-' for stdin")
-    ap.add_argument("--min-samples", type=int, default=1,
-                    help="require at least N samples (default 1)")
-    args = ap.parse_args()
-
-    try:
-        if args.exposition == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.exposition) as f:
-                text = f.read()
-    except OSError as e:
-        print("validate_exposition: error: %s" % e, file=sys.stderr)
-        return 2
-
+def lint_exposition(text, min_samples):
+    """Lints one exposition. Returns (status, counters), where counters maps
+    each (name, labelset) sample of a counter family to its value."""
     lint = Lint()
     helped = set()     # families with a # HELP line seen
     typed = {}         # family -> declared type
     seen = set()       # (name, labelset) pairs
+    counters = {}      # (name, labelset) -> value, counter families only
     samples = 0
     # family -> list of (line_no, labels, value) for post-pass checks
     summary_quants = {}
@@ -172,6 +169,8 @@ def main():
                       % (name, dict(labels) or ""))
         seen.add(key)
         samples += 1
+        if ftype == "counter":
+            counters[key] = value
 
         label_map = dict(labels)
         if ftype == "summary" and name == fam and "quantile" in label_map:
@@ -230,14 +229,64 @@ def main():
                       "histogram '%s' +Inf bucket %g != _count %g"
                       % (fam, buckets[-1][2], hist_counts[fam][1]))
 
-    if samples < args.min_samples:
+    if samples < min_samples:
         lint.fail(0, "only %d samples, need at least %d"
-                  % (samples, args.min_samples))
+                  % (samples, min_samples))
 
     if lint.status == 0:
         print("validate_exposition: OK: %d samples across %d families"
               % (samples, len(typed)))
-    return lint.status
+    return lint.status, counters
+
+
+def scrape(addr):
+    with urllib.request.urlopen("http://%s/metrics" % addr, timeout=10) as r:
+        return r.read().decode()
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("exposition", nargs="?",
+                    help="metrics text file, or '-' for stdin")
+    ap.add_argument("--scrape", metavar="HOST:PORT",
+                    help="scrape GET /metrics from this admin plane instead")
+    ap.add_argument("--min-samples", type=int, default=1,
+                    help="require at least N samples (default 1)")
+    args = ap.parse_args()
+    if (args.exposition is None) == (args.scrape is None):
+        ap.error("give exactly one of an exposition file and --scrape")
+
+    try:
+        if args.scrape:
+            texts = []
+            for i in range(SCRAPES):
+                if i:
+                    time.sleep(SCRAPE_INTERVAL_S)
+                texts.append(scrape(args.scrape))
+        elif args.exposition == "-":
+            texts = [sys.stdin.read()]
+        else:
+            with open(args.exposition) as f:
+                texts = [f.read()]
+    except OSError as e:
+        print("validate_exposition: error: %s" % e, file=sys.stderr)
+        return 2
+
+    status = 0
+    previous = None
+    for i, text in enumerate(texts):
+        lint_status, counters = lint_exposition(text, args.min_samples)
+        status = max(status, lint_status)
+        for key, value in counters.items():
+            before = previous.get(key) if previous else None
+            if before is not None and value < before:
+                print("validate_exposition: FAIL: scrape %d: counter %s%s "
+                      "went down from %g to %g; type it as a gauge"
+                      % (i + 1, key[0], dict(key[1]) or "", before, value),
+                      file=sys.stderr)
+                status = 1
+        previous = counters
+    return status
 
 
 if __name__ == "__main__":

@@ -10,9 +10,11 @@
 #include "support/StrUtil.h"
 #include "support/Trace.h"
 
+#include <cassert>
+
 using namespace gca;
 
-const char *const gca::kGcaCacheVersion = "gcomm-cache-3";
+const char *const gca::kGcaCacheVersion = "gcomm-cache-4";
 
 std::string gca::optionsFingerprint(const CompileOptions &Opts) {
   const PlacementOptions &P = Opts.Placement;
@@ -77,18 +79,28 @@ CachedResult gca::harvestSession(Session &S) {
   // (failed runs carry them in Errors already).
   if (S.Result.Ok)
     R.Diagnostics = S.Diags.str();
-  for (const RoutineResult &RR : S.Result.Routines) {
-    // A routine replayed from the routine cache never materialized a live
-    // plan; its rendered text comes from the cached entry instead, so warm
-    // and cold compiles still print the same bytes.
-    if (Session::RoutineCacheEntry *E = S.routineCacheEntry(RR.R->name());
-        E && E->Hit) {
-      for (const auto &[Name, Text] : E->Value.Plans)
-        if (Name == RR.R->name())
-          R.Plans.emplace_back(Name, Text);
-      continue;
-    }
+  auto Render = [&](const RoutineResult &RR) {
     R.Plans.emplace_back(RR.R->name(), RR.Plan.str(*RR.R));
+  };
+  if (!S.routineCacheActive()) {
+    for (const RoutineResult &RR : S.Result.Routines)
+      Render(RR);
+  } else {
+    // Routines that hit never materialized a live plan; their text comes
+    // from the cache entry, in file order, so warm and cold compiles print
+    // the same bytes. A compile with hits can fail only before build-context
+    // (the options already compiled once), where no routine has a plan.
+    size_t Live = 0;
+    for (const Session::RoutineCacheEntry &E : S.RoutineCache) {
+      if (!E.Hit) {
+        if (Live < S.Result.Routines.size())
+          Render(S.Result.Routines[Live]);
+        ++Live;
+      } else if (S.Result.Ok) {
+        R.Plans.insert(R.Plans.end(), E.Value.Plans.begin(),
+                       E.Value.Plans.end());
+      }
+    }
   }
   R.Dumps = S.Dumps;
   R.Counters = S.Stats.snapshot();
@@ -167,31 +179,31 @@ void CachedPipeline::setupRoutineCache(Session &S) {
   std::vector<RoutineSlice> Slices = sliceRoutineSources(S.Source, Prelude);
   if (Slices.empty())
     return;
-  std::map<std::string, Session::RoutineCacheEntry> Entries;
-  for (const RoutineSlice &Slice : Slices) {
-    Session::RoutineCacheEntry E;
-    E.Key = routineCacheKey(Prelude, Slice.Text, Slice.StartLine, S.Opts, P);
-    // Duplicate routine names make per-name replay ambiguous; the compile
-    // may also reject them, but the cache must not rely on that.
-    if (!Entries.emplace(Slice.Name, std::move(E)).second)
-      return;
-  }
-  for (auto &[Name, E] : Entries) {
+  S.RoutineCache.resize(Slices.size());
+  for (size_t I = 0; I != Slices.size(); ++I) {
+    Session::RoutineCacheEntry &E = S.RoutineCache[I];
+    E.Key = routineCacheKey(Prelude, Slices[I].Text, Slices[I].StartLine,
+                            S.Opts, P);
+    E.Slice = std::move(Slices[I]);
     if (std::optional<CachedResult> V = Cache.lookupRoutine(E.Key)) {
       E.Hit = true;
       E.Value = std::move(*V);
     }
   }
-  S.RoutineCache = std::move(Entries);
+  S.RoutinePrelude = std::move(Prelude);
 }
 
-void CachedPipeline::storeRoutineResults(Session &S) {
+void CachedPipeline::storeRoutineResults(Session &S, const CachedResult &R) {
   if (!S.Result.Ok || !S.routineCacheActive())
     return;
-  for (auto &[Name, E] : S.RoutineCache) {
+  // A successful harvest holds one plan per routine, in file order.
+  assert(R.Plans.size() == S.RoutineCache.size());
+  for (size_t I = 0; I != S.RoutineCache.size(); ++I) {
+    Session::RoutineCacheEntry &E = S.RoutineCache[I];
     if (E.Hit)
       continue;
     E.Value.Ok = true;
+    E.Value.Plans.push_back(R.Plans[I]);
     Cache.store(E.Key, E.Value);
   }
 }
@@ -209,13 +221,14 @@ bool CachedPipeline::run(Session &S) {
   CachedResult R = Cache.getOrCompute(
       K,
       [&] {
-        // Whole-file miss: replay whatever routines still hit at routine
-        // granularity, run the pipeline (cached routines skip their
-        // per-routine passes), then store the recomputed routines.
+        // Whole-file miss: look up every routine first, run the pipeline
+        // (routines that hit are never parsed or analyzed), then store the
+        // recomputed routines.
         setupRoutineCache(S);
         S.run(P);
-        storeRoutineResults(S);
-        return harvestSession(S);
+        CachedResult Out = harvestSession(S);
+        storeRoutineResults(S, Out);
+        return Out;
       },
       &Hit);
   if (Hit) {

@@ -55,21 +55,12 @@ CacheKey compileCacheKey(const std::string &Source, const CompileOptions &Opts,
                          const Pipeline &P = Pipeline::standard());
 
 /// Builds the replayable artifacts of a finished session (the value stored
-/// under its cache key). The session must have run to completion. Routines
-/// the session replayed from the routine cache contribute their cached plan
-/// text (their live plan was never materialized).
+/// under its cache key). The session must have run to completion. Plans are
+/// in file order; routines the session replayed from the routine cache
+/// contribute their cached plan text (they were never parsed).
 CachedResult harvestSession(Session &S);
 
 /// --- Routine-granularity keys ---------------------------------------------
-
-/// One `routine` block of an HPF-lite source, as sliced by
-/// sliceRoutineSources(): the marker line plus everything up to the next
-/// marker (or end of file).
-struct RoutineSlice {
-  std::string Name;
-  int StartLine = 0; ///< 1-based source line of the `routine` marker.
-  std::string Text;  ///< Marker line through the line before the next marker.
-};
 
 /// Splits \p Source at `routine <name>` marker lines (the only place the
 /// grammar admits the keyword at the start of a line) and fills \p Prelude
@@ -105,14 +96,15 @@ public:
   bool run(Session &S);
 
 private:
-  /// Populates S.RoutineCache from the source's routine slices (looking up
-  /// each key, installing hits) — or leaves it empty when routine caching
-  /// cannot apply: dump-after hooks and --verify=each need live IR for every
-  /// routine, files without markers have nothing finer than the whole file,
-  /// and duplicate routine names would make keys ambiguous.
+  /// Populates S.RoutineCache and S.RoutinePrelude from the source's
+  /// routine slices (looking up each key, installing hits) — or leaves them
+  /// empty when routine caching cannot apply: dump-after hooks and
+  /// --verify=each need live IR for every routine, and files without
+  /// markers have nothing finer than the whole file.
   void setupRoutineCache(Session &S);
-  /// Stores the harvest of every missed routine after a successful run.
-  void storeRoutineResults(Session &S);
+  /// Stores every missed routine's entry after a successful run, with its
+  /// plan text from \p R, the session's harvest.
+  void storeRoutineResults(Session &S, const CachedResult &R);
 
   ResultCache &Cache;
   const Pipeline &P;

@@ -18,8 +18,9 @@
 #include "xform/Fuse.h"
 #include "xform/Scalarize.h"
 
+#include <cassert>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 
 using namespace gca;
 
@@ -27,14 +28,47 @@ using namespace gca;
 // Standard passes
 //===----------------------------------------------------------------------===//
 
+/// With the routine cache active, parses only the file header and the
+/// routines that missed, each at its own start line. On errors it falls
+/// back (routine cache off, \returns false): only a clean parse of every
+/// block is guaranteed to equal the whole-file parse, diagnostics included.
+/// A clean parse also agrees with the slicing, because a marker's name is
+/// the identifier token that follows `routine`.
+static bool parseMissedRoutines(Session &S) {
+  if (!S.routineCacheActive())
+    return false;
+  std::vector<SourceBlock> Missed;
+  for (const Session::RoutineCacheEntry &E : S.RoutineCache)
+    if (!E.Hit)
+      Missed.push_back({E.Slice.Text, E.Slice.StartLine});
+  DiagEngine Diags;
+  std::unique_ptr<Program> Prog =
+      parseRoutineBlocks(S.RoutinePrelude, Missed, Diags, S.Opts.Params);
+  if (!Prog || Diags.hasErrors()) {
+    S.RoutineCache.clear();
+    return false;
+  }
+  assert(Prog->Routines.size() == Missed.size());
+  for (const Diag &D : Diags.diags())
+    S.Diags.append(D);
+  S.Result.Prog = std::move(Prog);
+  return true;
+}
+
 static bool passParse(Session &S) {
-  S.Result.Prog = parseProgram(S.Source, S.Diags, S.Opts.Params);
+  if (!parseMissedRoutines(S))
+    S.Result.Prog = parseProgram(S.Source, S.Diags, S.Opts.Params);
   if (S.Diags.hasErrors() || !S.Result.Prog) {
     S.Result.Errors = S.Diags.str();
     return false;
   }
-  S.Stats.add("frontend.routines",
-              static_cast<int64_t>(S.Result.Prog->Routines.size()));
+  S.forEachRoutine(
+      "parse",
+      [](size_t, StatsRegistry &Stats) {
+        Stats.add("frontend.routines");
+        return true;
+      },
+      /*Timed=*/false);
   return true;
 }
 
@@ -42,7 +76,13 @@ static bool passScalarize(Session &S) {
   if (!S.Opts.Scalarize)
     return true;
   unsigned ErrsBefore = S.Diags.errorCount();
-  scalarizeProgram(*S.Result.Prog, S.Diags);
+  S.forEachRoutine(
+      "scalarize",
+      [&](size_t I, StatsRegistry &) {
+        scalarizeRoutine(*S.Result.Prog->Routines[I], S.Diags);
+        return true;
+      },
+      /*Timed=*/false);
   if (S.Diags.errorCount() > ErrsBefore) {
     S.Result.Errors = S.Diags.str();
     return false;
@@ -51,8 +91,15 @@ static bool passScalarize(Session &S) {
 }
 
 static bool passFuse(Session &S) {
-  if (S.Opts.FuseLoops)
-    S.Stats.add("fuse.loops-fused", fuseLoops(*S.Result.Prog));
+  if (!S.Opts.FuseLoops)
+    return true;
+  S.forEachRoutine(
+      "fuse",
+      [&](size_t I, StatsRegistry &Stats) {
+        Stats.add("fuse.loops-fused", fuseLoops(*S.Result.Prog->Routines[I]));
+        return true;
+      },
+      /*Timed=*/false);
   return true;
 }
 
@@ -76,13 +123,13 @@ static void verifyAfterPass(Session &S, const char *PassName) {
 }
 
 static bool passBuildContext(Session &S) {
-  for (auto &R : S.Result.Prog->Routines) {
-    ScopedTimer T(S.Times, R->name());
-    RoutineResult RR;
-    RR.R = R.get();
-    RR.Ctx = std::make_unique<AnalysisContext>(*R);
-    S.Result.Routines.push_back(std::move(RR));
-  }
+  S.Result.Routines.resize(S.Result.Prog->Routines.size());
+  S.forEachRoutine("build-context", [&](size_t I, StatsRegistry &) {
+    RoutineResult &RR = S.Result.Routines[I];
+    RR.R = S.Result.Prog->Routines[I].get();
+    RR.Ctx = std::make_unique<AnalysisContext>(*RR.R);
+    return true;
+  });
   verifyAfterPass(S, "build-context");
   return true;
 }
@@ -117,15 +164,18 @@ static void traceDecisions(const std::string &Routine, const CommPlan &Plan,
 //===----------------------------------------------------------------------===//
 //
 // Per-routine cache values are CachedResult-shaped; the per-pass artifacts a
-// replay must reproduce ride in Value.Dumps as ("diags:<pass>", text) and
-// ("counters:<pass>", text) segments. Diagnostics encode one per line as
-// "<kind> <line> <col> <message>" with backslash and newline escaped (diag
-// messages are single-line by convention, but the encoding must not corrupt
-// one that is not); counter deltas encode as "<value> <name>" lines. Replay
-// re-appends the diagnostics through DiagEngine::append — emission order and
-// the error tally survive — and re-adds the counter deltas inside the pass
-// that originally produced them, so per-pass counter attribution in the time
-// report is identical to a cold run.
+// replay must reproduce ride in Value.Dumps as ("diags:<pass>", text),
+// ("counters:<pass>", text) and ("failed:<pass>", "") segments. Diagnostics
+// encode one per line as "<kind> <line> <col> <message>" with backslash and
+// newline escaped (diag messages are single-line by convention, but the
+// encoding must not corrupt one that is not); counters encode as
+// "<value> <name>" lines, zero values included, because a counter a pass
+// merely touched still shows in --stats. A failed segment marks a routine
+// whose verdict for the pass (audit, verify) was negative. Replay
+// re-appends the diagnostics through DiagEngine::append — emission order
+// and the error tally survive — and re-adds the counters inside the pass
+// that originally produced them, so per-pass counter attribution in the
+// time report is identical to a cold run.
 
 static std::string escapeSegmentText(const std::string &S) {
   std::string Out;
@@ -189,9 +239,9 @@ static void replayDiagSegment(const std::string &Text, DiagEngine &Diags) {
   }
 }
 
-static std::string encodeCounterSegment(const StatsRegistry::Snapshot &Delta) {
+static std::string encodeCounterSegment(const StatsRegistry::Snapshot &Counts) {
   std::string Out;
-  for (const auto &[Name, Value] : Delta)
+  for (const auto &[Name, Value] : Counts)
     Out += strFormat("%lld %s\n", static_cast<long long>(Value), Name.c_str());
   return Out;
 }
@@ -215,27 +265,19 @@ static void replayCounterSegment(const std::string &Text,
 }
 
 //===----------------------------------------------------------------------===//
-// Per-routine passes (routine-cache aware)
+// Placement and the passes after it
 //===----------------------------------------------------------------------===//
 
 static bool passPlacement(Session &S) {
   PlacementOptions POpts = S.Opts.Placement;
-  POpts.Stats = &S.Stats;
   POpts.Pool = S.placementPool();
-  for (RoutineResult &RR : S.Result.Routines) {
-    ScopedTimer T(S.Times, RR.R->name());
-    if (S.routineCacheHit(RR.R->name())) {
-      S.replayRoutinePass("placement", RR.R->name());
-      continue;
-    }
-    size_t DiagsBefore = S.Diags.diags().size();
-    StatsRegistry::Snapshot StatsBefore;
-    if (S.routineCacheActive())
-      StatsBefore = S.Stats.snapshot();
+  S.forEachRoutine("placement", [&](size_t I, StatsRegistry &Stats) {
+    RoutineResult &RR = S.Result.Routines[I];
+    POpts.Stats = &Stats;
     RR.Plan = planCommunication(*RR.Ctx, POpts);
     traceDecisions(RR.R->name(), RR.Plan);
-    S.recordRoutinePass("placement", RR, DiagsBefore, StatsBefore);
-  }
+    return true;
+  });
   verifyAfterPass(S, "placement");
   return true;
 }
@@ -250,22 +292,14 @@ static bool passLower(Session &S) {
                                 S.Opts.Machine.c_str(), Names.c_str());
     return false;
   }
-  for (RoutineResult &RR : S.Result.Routines) {
-    ScopedTimer T(S.Times, RR.R->name());
-    if (S.routineCacheHit(RR.R->name())) {
-      S.replayRoutinePass("lower", RR.R->name());
-      continue;
-    }
-    size_t DiagsBefore = S.Diags.diags().size();
-    StatsRegistry::Snapshot StatsBefore;
-    if (S.routineCacheActive())
-      StatsBefore = S.Stats.snapshot();
+  S.forEachRoutine("lower", [&](size_t I, StatsRegistry &Stats) {
+    RoutineResult &RR = S.Result.Routines[I];
     size_t DecisionsBefore = RR.Plan.Decisions.size();
-    RR.Lowering = lowerPlan(*RR.Ctx, RR.Plan, *M,
-                            S.Opts.Placement.NumProcs, &S.Stats);
+    RR.Lowering =
+        lowerPlan(*RR.Ctx, RR.Plan, *M, S.Opts.Placement.NumProcs, &Stats);
     traceDecisions(RR.R->name(), RR.Plan, DecisionsBefore);
-    S.recordRoutinePass("lower", RR, DiagsBefore, StatsBefore);
-  }
+    return true;
+  });
   verifyAfterPass(S, "lower");
   return true;
 }
@@ -274,22 +308,14 @@ static bool passAudit(Session &S) {
   if (!S.Opts.Audit)
     return true;
   PlacementOptions POpts = S.Opts.Placement;
-  POpts.Stats = &S.Stats;
   POpts.Pool = S.placementPool();
-  for (RoutineResult &RR : S.Result.Routines) {
-    ScopedTimer T(S.Times, RR.R->name());
-    if (S.routineCacheHit(RR.R->name())) {
-      S.replayRoutinePass("audit", RR.R->name());
-      continue;
-    }
-    size_t DiagsBefore = S.Diags.diags().size();
-    StatsRegistry::Snapshot StatsBefore;
-    if (S.routineCacheActive())
-      StatsBefore = S.Stats.snapshot();
+  bool Ok = S.forEachRoutine("audit", [&](size_t I, StatsRegistry &Stats) {
+    RoutineResult &RR = S.Result.Routines[I];
+    POpts.Stats = &Stats;
     RR.Audit = auditPlan(*RR.Ctx, RR.Plan, POpts, &S.Diags);
-    S.Result.AuditOk = S.Result.AuditOk && RR.Audit.ok();
-    S.recordRoutinePass("audit", RR, DiagsBefore, StatsBefore);
-  }
+    return RR.Audit.ok();
+  });
+  S.Result.AuditOk = S.Result.AuditOk && Ok;
   return true;
 }
 
@@ -297,43 +323,28 @@ static bool passVerify(Session &S) {
   if (S.Opts.Verify == VerifyMode::Off)
     return true;
   PlacementOptions POpts = S.Opts.Placement;
-  POpts.Stats = &S.Stats;
-  for (RoutineResult &RR : S.Result.Routines) {
-    ScopedTimer T(S.Times, RR.R->name());
-    if (S.routineCacheHit(RR.R->name())) {
-      S.replayRoutinePass("verify", RR.R->name());
-      continue;
-    }
-    size_t DiagsBefore = S.Diags.diags().size();
-    StatsRegistry::Snapshot StatsBefore;
-    if (S.routineCacheActive())
-      StatsBefore = S.Stats.snapshot();
+  bool Ok = S.forEachRoutine("verify", [&](size_t I, StatsRegistry &Stats) {
+    RoutineResult &RR = S.Result.Routines[I];
+    POpts.Stats = &Stats;
     RR.Verify = verifyPlan(*RR.Ctx, RR.Plan, POpts, &S.Diags);
-    S.Result.VerifyOk = S.Result.VerifyOk && RR.Verify.ok();
-    S.recordRoutinePass("verify", RR, DiagsBefore, StatsBefore);
-  }
+    return RR.Verify.ok();
+  });
+  S.Result.VerifyOk = S.Result.VerifyOk && Ok;
   return true;
 }
 
 static bool passLint(Session &S) {
   if (!S.Opts.Lint)
     return true;
-  for (size_t I = 0; I != S.Result.Routines.size(); ++I) {
+  S.forEachRoutine("lint", [&](size_t I, StatsRegistry &Stats) {
     RoutineResult &RR = S.Result.Routines[I];
-    ScopedTimer T(S.Times, RR.R->name());
-    if (S.routineCacheHit(RR.R->name())) {
-      S.replayRoutinePass("lint", RR.R->name());
-      continue;
-    }
-    size_t DiagsBefore = S.Diags.diags().size();
-    StatsRegistry::Snapshot StatsBefore;
-    if (S.routineCacheActive())
-      StatsBefore = S.Stats.snapshot();
-    int NumWarnings =
-        lintRoutine(*RR.Ctx, RR.Plan, S.origBaseline(I), S.Diags);
-    S.Stats.add("lint.warnings", NumWarnings);
-    S.recordRoutinePass("lint", RR, DiagsBefore, StatsBefore);
-  }
+    const CommPlan *Baseline = S.origBaseline(I);
+    if (Baseline)
+      Stats.add("placement.baseline-groups", Baseline->Stats.totalGroups());
+    Stats.add("lint.warnings",
+              lintRoutine(*RR.Ctx, RR.Plan, Baseline, S.Diags));
+    return true;
+  });
   return true;
 }
 
@@ -423,56 +434,57 @@ void Session::replayResult(const CachedResult &R) {
   Replayed = true;
 }
 
-Session::RoutineCacheEntry *
-Session::routineCacheEntry(const std::string &Name) {
-  auto It = RoutineCache.find(Name);
-  return It == RoutineCache.end() ? nullptr : &It->second;
-}
-
-bool Session::routineCacheHit(const std::string &Name) {
-  RoutineCacheEntry *E = routineCacheEntry(Name);
-  return E && E->Hit;
-}
-
-void Session::replayRoutinePass(const char *Pass, const std::string &Name) {
-  RoutineCacheEntry *E = routineCacheEntry(Name);
-  if (!E)
-    return;
-  std::string DiagsKey = std::string("diags:") + Pass;
-  std::string CountersKey = std::string("counters:") + Pass;
-  for (const auto &[Key, Text] : E->Value.Dumps) {
-    if (Key == DiagsKey)
-      replayDiagSegment(Text, Diags);
-    else if (Key == CountersKey)
-      replayCounterSegment(Text, Stats);
+bool Session::forEachRoutine(
+    const char *Pass,
+    const std::function<bool(size_t I, StatsRegistry &Stats)> &Body,
+    bool Timed) {
+  bool AllOk = true;
+  if (!routineCacheActive()) {
+    for (size_t I = 0, N = Result.Prog->Routines.size(); I != N; ++I) {
+      std::optional<ScopedTimer> T;
+      if (Timed)
+        T.emplace(Times, Result.Prog->Routines[I]->name());
+      AllOk = Body(I, Stats) && AllOk;
+    }
+    return AllOk;
   }
-  if (std::strcmp(Pass, "audit") == 0)
-    Result.AuditOk = Result.AuditOk && E->Value.AuditOk;
-  else if (std::strcmp(Pass, "verify") == 0)
-    Result.VerifyOk = Result.VerifyOk && E->Value.VerifyOk;
-}
-
-void Session::recordRoutinePass(const char *Pass, const RoutineResult &RR,
-                                size_t DiagsBefore,
-                                const StatsRegistry::Snapshot &StatsBefore) {
-  RoutineCacheEntry *E = routineCacheEntry(RR.R->name());
-  if (!E || E->Hit)
-    return;
-  std::string DiagSeg = encodeDiagSegment(Diags.diags(), DiagsBefore);
-  if (!DiagSeg.empty())
-    E->Value.Dumps.emplace_back(std::string("diags:") + Pass,
-                                std::move(DiagSeg));
-  std::string CtrSeg = encodeCounterSegment(Stats.diff(StatsBefore));
-  if (!CtrSeg.empty())
-    E->Value.Dumps.emplace_back(std::string("counters:") + Pass,
-                                std::move(CtrSeg));
-  if (std::strcmp(Pass, "placement") == 0) {
-    E->Value.Plans.emplace_back(RR.R->name(), RR.Plan.str(*RR.R));
-  } else if (std::strcmp(Pass, "audit") == 0) {
-    E->Value.AuditOk = RR.Audit.ok();
-  } else if (std::strcmp(Pass, "verify") == 0) {
-    E->Value.VerifyOk = RR.Verify.ok();
+  const std::string DiagsKey = std::string("diags:") + Pass;
+  const std::string CountersKey = std::string("counters:") + Pass;
+  const std::string FailedKey = std::string("failed:") + Pass;
+  size_t Live = 0;
+  for (RoutineCacheEntry &E : RoutineCache) {
+    std::optional<ScopedTimer> T;
+    if (Timed)
+      T.emplace(Times, E.Slice.Name);
+    std::vector<std::pair<std::string, std::string>> &Segments = E.Value.Dumps;
+    if (E.Hit) {
+      for (const auto &[Key, Text] : Segments) {
+        if (Key == DiagsKey)
+          replayDiagSegment(Text, Diags);
+        else if (Key == CountersKey)
+          replayCounterSegment(Text, Stats);
+        else if (Key == FailedKey)
+          AllOk = false;
+      }
+      continue;
+    }
+    // The routine's own registry sees every counter Body touches, zero
+    // increments included, which a diff of the session registry would not.
+    size_t DiagsBefore = Diags.diags().size();
+    StatsRegistry Counted;
+    bool Ok = Body(Live++, Counted);
+    Stats.merge(Counted);
+    if (std::string Seg = encodeDiagSegment(Diags.diags(), DiagsBefore);
+        !Seg.empty())
+      Segments.emplace_back(DiagsKey, std::move(Seg));
+    if (std::string Seg = encodeCounterSegment(Counted.snapshot());
+        !Seg.empty())
+      Segments.emplace_back(CountersKey, std::move(Seg));
+    if (!Ok)
+      Segments.emplace_back(FailedKey, "");
+    AllOk = Ok && AllOk;
   }
+  return AllOk;
 }
 
 const CommPlan *Session::origBaseline(size_t RoutineIdx) {
@@ -486,8 +498,6 @@ const CommPlan *Session::origBaseline(size_t RoutineIdx) {
     BaseOpts.Stats = nullptr; // Don't fold baseline work into plan counters.
     Baselines[RoutineIdx] = std::make_unique<CommPlan>(
         planCommunication(*Result.Routines[RoutineIdx].Ctx, BaseOpts));
-    Stats.add("placement.baseline-groups",
-              Baselines[RoutineIdx]->Stats.totalGroups());
   }
   return Baselines[RoutineIdx].get();
 }

@@ -21,6 +21,9 @@
 /// runner times every pass (wall + thread CPU), snapshots the counter
 /// registry around it so increments are attributed to the pass that made
 /// them, and records dumps after the pass named by CompileOptions::DumpAfter.
+/// Passes do their per-routine work through Session::forEachRoutine, which
+/// is also where routines replayed from the routine cache skip that work
+/// (see RoutineCache below).
 ///
 /// compileSource() in Compile.h is a thin wrapper over Session and remains
 /// the one-call entry point.
@@ -36,12 +39,20 @@
 #include "support/Timer.h"
 
 #include <functional>
-#include <map>
 
 namespace gca {
 
 class Session;
 class ThreadPool;
+
+/// One `routine` block of an HPF-lite source, as sliced by
+/// sliceRoutineSources() (driver/CachedPipeline.h): the marker line plus
+/// everything up to the next marker (or end of file).
+struct RoutineSlice {
+  std::string Name;
+  int StartLine = 0; ///< 1-based source line of the `routine` marker.
+  std::string Text;  ///< Marker line through the line before the next marker.
+};
 
 /// One named stage of the pipeline. Fn returns false to abort the run
 /// (a fatal error; the session's Result.Errors is expected to be set).
@@ -92,49 +103,64 @@ public:
   /// instrumentation (Stats, Times, Passes, Dumps) for reporting.
   CompileResult take();
 
-  /// The Strategy::Orig baseline plan for routine \p RoutineIdx, computed
-  /// on first request and cached — the lint no-benefit rule and any stats
-  /// consumer share one computation. Null when the session's own strategy
-  /// already is Orig.
+  /// The Strategy::Orig baseline plan for live routine \p RoutineIdx,
+  /// computed on first request and cached — the lint no-benefit rule and
+  /// any stats consumer share one computation. Null when the session's own
+  /// strategy already is Orig.
   const CommPlan *origBaseline(size_t RoutineIdx);
 
   /// --- Routine-granularity incremental recompilation -------------------
   ///
-  /// On a whole-file cache miss, CachedPipeline slices the source into
-  /// per-routine texts and keys each on (cache version, options, pipeline,
-  /// prelude, routine text, routine start line). A hit replays that
-  /// routine's placement/audit/verify/lint artifacts — plan text, per-pass
-  /// diagnostics, per-pass counters — while the passes recompute only the
-  /// routines whose key changed; an in-place edit of one routine in a
-  /// multi-routine file therefore costs one routine recompilation. The
-  /// start line in the key keeps replayed diagnostic line numbers honest:
-  /// an edit that shifts later routines invalidates their keys.
+  /// Every pass reads one routine at a time plus the file's header
+  /// (placement is intraprocedural), so a routine's artifacts depend only
+  /// on (options, pipeline, header, its own text and start line). On a
+  /// whole-file cache miss, CachedPipeline slices the source into
+  /// per-routine texts, keys each on exactly that, and looks every key up
+  /// before the pipeline runs. The parse pass then parses only the header
+  /// and the routines that missed, and forEachRoutine runs each pass's
+  /// per-routine work only for them: a routine that hits exists only as its
+  /// cached artifacts — plan text plus, per pass, its diagnostics, counters
+  /// and verdict — which forEachRoutine replays in file order. An in-place
+  /// edit of one routine in a multi-routine file therefore parses,
+  /// scalarizes, builds a context for and places one routine. The start
+  /// line in the key keeps replayed diagnostic line numbers honest: an edit
+  /// that shifts later routines invalidates their keys.
   struct RoutineCacheEntry {
+    RoutineSlice Slice;
     CacheKey Key;
     bool Hit = false;
     /// On a hit: the replayed artifacts. On a miss: the harvest under
-    /// construction — the pass loops record per-pass diag/counter segments
-    /// here and CachedPipeline stores the finished entry after the run.
+    /// construction — forEachRoutine records per-pass diagnostic, counter
+    /// and verdict segments here and CachedPipeline stores the finished
+    /// entry after the run.
     CachedResult Value;
   };
-  /// Keyed by routine name; empty when routine caching is inactive (no
-  /// cache, no `routine` markers, or a dump-after hook that needs live IR).
-  std::map<std::string, RoutineCacheEntry> RoutineCache;
+  /// One entry per routine slice, in file order; empty when routine caching
+  /// is inactive (no cache, no `routine` markers, a dump-after hook or
+  /// --verify=each that needs live IR, or slices that do not parse on
+  /// their own).
+  std::vector<RoutineCacheEntry> RoutineCache;
+  /// The source text before the first routine slice (program header and
+  /// file-level params).
+  std::string RoutinePrelude;
 
   bool routineCacheActive() const { return !RoutineCache.empty(); }
-  /// Entry for \p Name; null when routine caching is inactive or the
-  /// routine matched no source slice.
-  RoutineCacheEntry *routineCacheEntry(const std::string &Name);
-  /// True when \p Name's per-routine passes replay from the cache.
-  bool routineCacheHit(const std::string &Name);
-  /// Replays pass \p Pass's cached diagnostics and counters for routine
-  /// \p Name (and its audit/verify verdict flags into Result).
-  void replayRoutinePass(const char *Pass, const std::string &Name);
-  /// Records pass \p Pass's diagnostic and counter deltas for routine
-  /// \p RR into its harvest-in-progress.
-  void recordRoutinePass(const char *Pass, const RoutineResult &RR,
-                         size_t DiagsBefore,
-                         const StatsRegistry::Snapshot &StatsBefore);
+
+  /// Runs \p Body(I, Stats) for each routine of the compilation in file
+  /// order, each inside a time region named after the routine when
+  /// \p Timed (the frontend passes, whose per-routine work costs little
+  /// next to a region's clock reads, pass false). I indexes the live
+  /// routines (Result.Prog->Routines, and Result.Routines once
+  /// build-context has run); Body adds its counters to Stats and returns
+  /// the routine's verdict for the pass (true when the pass has none).
+  /// With the routine cache active, a routine that hit skips Body and
+  /// replays the diagnostics, counters and verdict pass \p Pass recorded
+  /// when it was computed; a routine that missed runs Body and records
+  /// them. \returns true when every routine's verdict is true.
+  bool forEachRoutine(
+      const char *Pass,
+      const std::function<bool(size_t I, StatsRegistry &Stats)> &Body,
+      bool Timed = true);
 
   /// The worker pool the parallel placement and audit phases run on, built
   /// lazily with Opts.Placement.Jobs workers on first request. Null when

@@ -1089,7 +1089,7 @@ MetricsSnapshot CompileServer::metricsSnapshot() const {
     return A.load(std::memory_order_relaxed);
   };
   Snap.Counters["server.connections-accepted"] = Load(ConnsAccepted);
-  Snap.Counters["server.connections-active"] = Load(ConnsActive);
+  Snap.Gauges["server.connections-active"] = Load(ConnsActive);
   Snap.Counters["server.requests"] = Load(Requests);
   Snap.Counters["server.ok"] = Load(Ok);
   Snap.Counters["server.compile-errors"] = Load(CompileErrors);
@@ -1100,12 +1100,12 @@ MetricsSnapshot CompileServer::metricsSnapshot() const {
   Snap.Counters["server.bad-frames"] = Load(BadFrames);
   Snap.Counters["server.write-errors"] = Load(WriteErrors);
   Snap.Counters["server.cache-hits"] = Load(CacheHits);
-  Snap.Counters["server.queue-depth"] = Queued.load(std::memory_order_relaxed);
-  Snap.Counters["server.inflight"] = Executing.load(std::memory_order_relaxed);
+  Snap.Gauges["server.queue-depth"] = Queued.load(std::memory_order_relaxed);
+  Snap.Gauges["server.inflight"] = Executing.load(std::memory_order_relaxed);
   Snap.Counters["server.queue-peak"] = Load(QueuePeak);
-  Snap.Counters["server.queue-limit"] = Config.QueueLimit;
-  Snap.Counters["server.jobs"] = Pool->numThreads();
-  Snap.Counters["server.draining"] = draining() ? 1 : 0;
+  Snap.Gauges["server.queue-limit"] = Config.QueueLimit;
+  Snap.Gauges["server.jobs"] = Pool->numThreads();
+  Snap.Gauges["server.draining"] = draining() ? 1 : 0;
   Snap.Counters["server.slow-requests"] = Load(SlowRequests);
   Snap.Counters["server.uptime-seconds"] = static_cast<int64_t>(
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -1136,8 +1136,10 @@ MetricsSnapshot CompileServer::metricsSnapshot() const {
 
 int64_t CompileServer::counter(const std::string &Name) const {
   MetricsSnapshot Snap = metricsSnapshot();
-  auto It = Snap.Counters.find(Name);
-  return It == Snap.Counters.end() ? 0 : It->second;
+  for (const StatsRegistry::Snapshot *Values : {&Snap.Counters, &Snap.Gauges})
+    if (auto It = Values->find(Name); It != Values->end())
+      return It->second;
+  return 0;
 }
 
 int connectUnixSocket(const std::string &Path, std::string &Err) {

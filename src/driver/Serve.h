@@ -194,7 +194,7 @@ public:
   /// attached) cache statistics.
   MetricsSnapshot metricsSnapshot() const;
 
-  /// One counter out of metricsSnapshot(), for tests.
+  /// One counter or gauge out of metricsSnapshot(); 0 when absent.
   int64_t counter(const std::string &Name) const;
 
   /// Starts the HTTP admin plane on Config.AdminSpec (`GET /metrics`,

@@ -15,9 +15,10 @@ bool Token::isKeyword(const char *KW) const {
   return Kind == TokKind::Ident && Text == KW;
 }
 
-std::vector<Token> gca::lexSource(const std::string &Src, DiagEngine &Diags) {
+std::vector<Token> gca::lexSource(std::string_view Src, DiagEngine &Diags,
+                                  int FirstLine) {
   std::vector<Token> Out;
-  int Line = 1, Col = 1;
+  int Line = FirstLine, Col = 1;
   size_t I = 0, N = Src.size();
 
   auto peek = [&](size_t Off = 0) -> char {

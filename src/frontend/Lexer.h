@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gca {
@@ -51,7 +52,10 @@ struct Token {
 };
 
 /// Tokenizes \p Src; lexical errors are reported to \p Diags and skipped.
-std::vector<Token> lexSource(const std::string &Src, DiagEngine &Diags);
+/// \p FirstLine is the line number of Src's first byte, so a block cut out
+/// of a larger file at a line start lexes with the file's own locations.
+std::vector<Token> lexSource(std::string_view Src, DiagEngine &Diags,
+                             int FirstLine = 1);
 
 } // namespace gca
 

@@ -10,6 +10,7 @@
 #include "frontend/Lexer.h"
 
 #include <cassert>
+#include <optional>
 #include <set>
 
 using namespace gca;
@@ -30,6 +31,23 @@ public:
   }
 
   std::unique_ptr<Program> parseFile();
+
+  /// The program header: `program` name and file-level params, with a
+  /// warning for each override that matches no param declaration.
+  std::unique_ptr<Program> parseHeader();
+  /// One `routine` block, from its `routine` keyword.
+  std::unique_ptr<Routine> parseRoutine();
+  /// Reports an error unless every token has been consumed.
+  void expectEof() {
+    if (!cur().is(TokKind::Eof))
+      Diags.error(cur().Loc, "trailing tokens after program end");
+  }
+  /// Continues with a separately lexed token stream; params declared so
+  /// far stay bound.
+  void resetTokens(std::vector<Token> NewToks) {
+    Toks = std::move(NewToks);
+    Pos = 0;
+  }
 
 private:
   // Token plumbing ---------------------------------------------------------
@@ -521,12 +539,17 @@ void ParserImpl::parseStmtSeq(std::vector<Stmt *> &List, bool AllowElse,
 void ParserImpl::parseRoutineBody(Routine &Routine) {
   R = &Routine;
   Scopes.clear();
+  // A param declared here is scoped to this routine: the file-level
+  // bindings are restored at its end.
+  std::optional<ParamMap> FileParams;
   while (!cur().is(TokKind::Eof)) {
     if (acceptKeyword("real")) {
       parseDecl();
       continue;
     }
     if (acceptKeyword("param")) {
+      if (!FileParams)
+        FileParams = Params;
       parseParam();
       continue;
     }
@@ -536,10 +559,26 @@ void ParserImpl::parseRoutineBody(Routine &Routine) {
   bool AtElse = false;
   parseStmtSeq(Routine.body(), /*AllowElse=*/false, AtElse);
   expectKeyword("end");
+  if (FileParams)
+    Params = std::move(*FileParams);
   R = nullptr;
 }
 
-std::unique_ptr<Program> ParserImpl::parseFile() {
+std::unique_ptr<Routine> ParserImpl::parseRoutine() {
+  expectKeyword("routine");
+  std::string Name = "routine";
+  if (cur().is(TokKind::Ident)) {
+    Name = cur().Text;
+    advance();
+  } else {
+    Diags.error(cur().Loc, "expected routine name");
+  }
+  auto Rt = std::make_unique<Routine>(Name);
+  parseRoutineBody(*Rt);
+  return Rt;
+}
+
+std::unique_ptr<Program> ParserImpl::parseHeader() {
   auto P = std::make_unique<Program>();
   P->Name = "program";
   if (acceptKeyword("program")) {
@@ -561,19 +600,14 @@ std::unique_ptr<Program> ParserImpl::parseFile() {
                     "parameter override '%s=%lld' does not match any param "
                     "declaration",
                     Name.c_str(), static_cast<long long>(Value));
+  return P;
+}
 
+std::unique_ptr<Program> ParserImpl::parseFile() {
+  std::unique_ptr<Program> P = parseHeader();
   if (cur().isKeyword("routine")) {
-    while (acceptKeyword("routine")) {
-      std::string Name = "routine";
-      if (cur().is(TokKind::Ident)) {
-        Name = cur().Text;
-        advance();
-      } else {
-        Diags.error(cur().Loc, "expected routine name");
-      }
-      auto Rt = std::make_unique<Routine>(Name);
-      parseRoutineBody(*Rt);
-      P->Routines.push_back(std::move(Rt));
+    while (cur().isKeyword("routine")) {
+      P->Routines.push_back(parseRoutine());
       if (Diags.hasErrors())
         break;
     }
@@ -584,8 +618,8 @@ std::unique_ptr<Program> ParserImpl::parseFile() {
     P->Routines.push_back(std::move(Rt));
   }
 
-  if (!cur().is(TokKind::Eof) && !Diags.hasErrors())
-    Diags.error(cur().Loc, "trailing tokens after program end");
+  if (!Diags.hasErrors())
+    expectEof();
   return P;
 }
 
@@ -597,4 +631,28 @@ std::unique_ptr<Program> gca::parseProgram(const std::string &Src,
     return nullptr;
   ParserImpl P(std::move(Toks), Diags, Overrides);
   return P.parseFile();
+}
+
+std::unique_ptr<Program>
+gca::parseRoutineBlocks(std::string_view Prelude,
+                        const std::vector<SourceBlock> &Routines,
+                        DiagEngine &Diags, const ParamMap &Overrides) {
+  std::vector<Token> HeaderToks = lexSource(Prelude, Diags);
+  std::vector<std::vector<Token>> RoutineToks;
+  RoutineToks.reserve(Routines.size());
+  for (const SourceBlock &B : Routines)
+    RoutineToks.push_back(lexSource(B.Text, Diags, B.StartLine));
+  if (Diags.hasErrors())
+    return nullptr;
+  ParserImpl P(std::move(HeaderToks), Diags, Overrides);
+  std::unique_ptr<Program> Prog = P.parseHeader();
+  P.expectEof();
+  for (std::vector<Token> &Toks : RoutineToks) {
+    if (Diags.hasErrors())
+      break;
+    P.resetTokens(std::move(Toks));
+    Prog->Routines.push_back(P.parseRoutine());
+    P.expectEof();
+  }
+  return Prog;
 }

@@ -185,10 +185,13 @@ std::string Histogram::json() const {
 std::string MetricsSnapshot::json() const {
   JsonWriter W;
   W.beginObject();
-  W.key("counters").beginObject();
-  for (const auto &[Name, Value] : Counters)
-    W.key(Name).value(Value);
-  W.endObject();
+  for (const auto &[Kind, Values] :
+       {std::pair{"counters", &Counters}, std::pair{"gauges", &Gauges}}) {
+    W.key(Kind).beginObject();
+    for (const auto &[Name, Value] : *Values)
+      W.key(Name).value(Value);
+    W.endObject();
+  }
   W.key("histograms").beginObject();
   for (const auto &[Name, H] : Histograms) {
     W.key(Name);
@@ -211,12 +214,15 @@ static std::string promName(const std::string &Dotted) {
 
 std::string MetricsSnapshot::prometheus() const {
   std::string Out;
-  for (const auto &[Name, Value] : Counters) {
-    std::string P = promName(Name);
-    Out += strFormat("# HELP %s gcomm counter %s\n", P.c_str(), Name.c_str());
-    Out += strFormat("# TYPE %s counter\n%s %lld\n", P.c_str(), P.c_str(),
-                     static_cast<long long>(Value));
-  }
+  for (const auto &[Kind, Values] :
+       {std::pair{"counter", &Counters}, std::pair{"gauge", &Gauges}})
+    for (const auto &[Name, Value] : *Values) {
+      std::string P = promName(Name);
+      Out += strFormat("# HELP %s gcomm %s %s\n", P.c_str(), Kind,
+                       Name.c_str());
+      Out += strFormat("# TYPE %s %s\n%s %lld\n", P.c_str(), Kind, P.c_str(),
+                       static_cast<long long>(Value));
+    }
   for (const auto &[Name, H] : Histograms) {
     std::string P = promName(Name);
     Out += strFormat("# HELP %s gcomm histogram %s\n", P.c_str(),

@@ -116,13 +116,17 @@ private:
   int64_t Max = 0;
 };
 
-/// A point-in-time bundle of counters and named histograms, with the two
-/// wire renderings every exporter shares: one JSON object, and Prometheus
-/// text exposition (counters as counters, histograms as summaries with
-/// quantile labels; metric names are prefixed "gca_" and dots map to
-/// underscores).
+/// A point-in-time bundle of counters, gauges and named histograms, with
+/// the two wire renderings every exporter shares: one JSON object, and
+/// Prometheus text exposition (counters as counters, gauges as gauges,
+/// histograms as summaries with quantile labels; metric names are prefixed
+/// "gca_" and dots map to underscores).
 struct MetricsSnapshot {
+  /// Values that only ever grow over the exporter's lifetime.
   StatsRegistry::Snapshot Counters;
+  /// Current levels that may go down (queue depth, open connections) and
+  /// configured sizes.
+  StatsRegistry::Snapshot Gauges;
   /// Ordered by insertion; names use the same dotted convention as counters.
   std::vector<std::pair<std::string, Histogram>> Histograms;
 
@@ -130,7 +134,7 @@ struct MetricsSnapshot {
     Histograms.emplace_back(Name, H);
   }
 
-  /// {"counters":{...},"histograms":{"name":{...},...}}.
+  /// {"counters":{...},"gauges":{...},"histograms":{"name":{...},...}}.
   std::string json() const;
 
   /// Prometheus text exposition format (one "# TYPE" comment per metric).

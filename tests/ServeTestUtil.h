@@ -20,6 +20,7 @@
 #include "support/Frame.h"
 #include "support/Json.h"
 
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +39,12 @@ public:
 
   ~TestServer() {
     Server.requestDrain();
-    for (std::thread &T : Threads)
+    std::vector<std::thread> Joined;
+    {
+      std::lock_guard<std::mutex> L(ThreadsMu);
+      Joined.swap(Threads);
+    }
+    for (std::thread &T : Joined)
       T.join();
     Server.wait();
   }
@@ -46,11 +52,13 @@ public:
   /// Opens a new client connection; returns the client-side fd (the caller
   /// closes it). The server end is pumped by a dedicated thread, exactly
   /// like a connection accepted off the listening socket; it closes its fd
-  /// when the connection ends, so clients observe a real EOF.
+  /// when the connection ends, so clients observe a real EOF. Safe to call
+  /// from several client threads at once.
   int connect() {
     int SV[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, SV) != 0)
       return -1;
+    std::lock_guard<std::mutex> L(ThreadsMu);
     Threads.emplace_back([this, Fd = SV[0]] {
       Server.serveConnection(Fd, Fd);
       ::close(Fd);
@@ -62,7 +70,8 @@ public:
 
 private:
   CompileServer Server;
-  std::vector<std::thread> Threads;
+  std::mutex ThreadsMu;
+  std::vector<std::thread> Threads; ///< Guarded by ThreadsMu.
 };
 
 /// Reads one response frame and parses it. Null on any failure.

@@ -18,17 +18,22 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/CachedPipeline.h"
+#include "driver/Serve.h"
 #include "support/ResultCache.h"
 #include "support/ThreadPool.h"
+#include "workloads/Synth.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <sstream>
 #include <thread>
 #include <unistd.h>
 
@@ -40,11 +45,17 @@ namespace {
 struct Observed {
   bool Ok = false;
   bool AuditOk = true;
+  bool VerifyOk = true;
   std::string Errors;
   std::string Diagnostics;
   std::string PlanText;
   std::vector<std::pair<std::string, std::string>> Dumps;
   StatsRegistry::Snapshot Counters;
+  /// What gca-compile and the server print: plans, diagnostics, --stats.
+  std::string Output;
+  /// Each pass's counters, as in --time-report=json. A whole-file cache hit
+  /// runs no pass, so it has none.
+  std::vector<std::pair<std::string, StatsRegistry::Snapshot>> PassCounters;
 
   bool operator==(const Observed &O) const = default;
 };
@@ -54,11 +65,16 @@ Observed observe(Session &S) {
   CompileResult R = S.take();
   Out.Ok = R.Ok;
   Out.AuditOk = R.AuditOk;
+  Out.VerifyOk = R.VerifyOk;
   Out.Errors = R.Errors;
   Out.Diagnostics = R.Diagnostics;
   Out.PlanText = R.planText();
   Out.Dumps = S.Dumps;
   Out.Counters = S.Stats.snapshot();
+  Out.Output = renderCompileOutput("input.hpf", S, R, /*PrintPlans=*/true,
+                                   /*Stats=*/true, /*DumpDecisions=*/false);
+  for (const PassRecord &P : S.Passes)
+    Out.PassCounters.emplace_back(P.Name, P.Counters);
   return Out;
 }
 
@@ -665,14 +681,22 @@ TEST(RoutineCacheTest, OneEditRecompilesExactlyOneRoutine) {
   EXPECT_EQ(S0.RoutineMisses, 10);
   EXPECT_EQ(S0.RoutineHits, 0);
 
-  Observed Warm = compileObserved(B, Opts, &Cache);
-  ASSERT_TRUE(Warm.Ok);
+  Session S(B, Opts);
+  EXPECT_FALSE(CachedPipeline(Cache).run(S));
+  ASSERT_TRUE(S.Result.Ok) << S.Result.Errors;
   CacheStats S1 = Cache.stats();
   EXPECT_EQ(S1.Misses, 2);
   EXPECT_EQ(S1.RoutineHits, 9);
   EXPECT_EQ(S1.RoutineMisses, 11);
+  // Only the edited routine is parsed and given an analysis context; the
+  // other nine exist as their cached artifacts alone, yet frontend.routines
+  // still counts every routine of the file.
+  EXPECT_EQ(S.Result.Prog->Routines.size(), 1u);
+  ASSERT_EQ(S.Result.Routines.size(), 1u);
+  EXPECT_EQ(S.Result.Routines[0].R->name(), "r4");
+  EXPECT_EQ(S.Stats.get("frontend.routines"), 10);
 
-  EXPECT_EQ(Warm, compileObserved(B, Opts, nullptr));
+  EXPECT_EQ(observe(S), compileObserved(B, Opts, nullptr));
 }
 
 TEST(RoutineCacheTest, StartLineShiftInvalidatesLaterRoutines) {
@@ -801,3 +825,394 @@ TEST(RoutineCacheTest, RoutineKeySensitivity) {
   Jobs.Placement.Jobs = 8;
   EXPECT_EQ(K0.hex(), routineCacheKey(Prelude, Text, 3, Jobs).hex());
 }
+
+TEST(RoutineCacheTest, RoutineParamDoesNotLeakIntoLaterRoutines) {
+  // A param declared inside r0 used to stay bound for r1, although r1's key
+  // covers only the prelude and its own text: editing r0's value replayed
+  // r1 as compiled under the old one. Routine params are now scoped to
+  // their routine, so r1's use of `m` is an error, cached or not.
+  auto Source = [](int M) {
+    return "program leak\nparam n = 16\n"
+           "routine r0\nparam m = " +
+           std::to_string(M) +
+           "\nreal a(n) distribute (block)\nbegin\n"
+           "  a(2:m) = a(1:m-1)\nend\n"
+           "routine r1\nreal z(m) distribute (block)\nbegin\n"
+           "  z(2:m) = z(1:m-1)\nend\n";
+  };
+  ResultCache Cache;
+  CompileOptions Opts = routineCacheOptions();
+  compileObserved(Source(4), Opts, &Cache);
+  Observed Cached = compileObserved(Source(12), Opts, &Cache);
+  Observed Uncached = compileObserved(Source(12), Opts, nullptr);
+  EXPECT_EQ(Cached, Uncached);
+  EXPECT_FALSE(Uncached.Ok);
+  EXPECT_NE(Uncached.Errors.find("unknown name 'm'"), std::string::npos)
+      << Uncached.Errors;
+}
+
+TEST(RoutineCacheTest, ReplayedVerdictsMatchUncached) {
+  // A routine's negative verdict (an audit or verify violation) is one of
+  // its cached artifacts: a pass that rejects r1 must reject it again when
+  // r1 replays from the routine cache.
+  Pipeline Checked;
+  for (const Pass &Stage : Pipeline::standard().passes())
+    Checked.add(Stage.Name, Stage.Fn);
+  Checked.add("reject-r1", [](Session &S) {
+    bool Ok =
+        S.forEachRoutine("reject-r1", [&](size_t I, StatsRegistry &Stats) {
+          Stats.add("reject-r1.checked");
+          return S.Result.Prog->Routines[I]->name() != "r1";
+        });
+    S.Result.VerifyOk = S.Result.VerifyOk && Ok;
+    return true;
+  });
+  ResultCache Cache;
+  CompileOptions Opts = routineCacheOptions();
+  Session Cold(multiRoutineSource(4), Opts);
+  CachedPipeline(Cache, Checked).run(Cold);
+  EXPECT_FALSE(Cold.Result.VerifyOk);
+
+  Session Warm(multiRoutineSource(4, /*EditedIdx=*/0), Opts);
+  EXPECT_FALSE(CachedPipeline(Cache, Checked).run(Warm));
+  EXPECT_EQ(Cache.stats().RoutineHits, 3);
+  EXPECT_FALSE(Warm.Result.VerifyOk) << "r1's replayed verdict was lost";
+  EXPECT_EQ(Warm.Stats.get("reject-r1.checked"), 4);
+  Session Plain(multiRoutineSource(4, 0), Opts);
+  Plain.run(Checked);
+  EXPECT_FALSE(Plain.Result.VerifyOk);
+  EXPECT_EQ(observe(Warm), observe(Plain));
+}
+
+//===----------------------------------------------------------------------===//
+// Edit differential: seeded edit sequences, cached vs. uncached
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A source cut at `routine` marker lines: the prelude lines, then one line
+/// block per routine whose first line is its marker.
+struct RoutineFile {
+  std::vector<std::string> Prelude;
+  std::vector<std::vector<std::string>> Routines;
+
+  explicit RoutineFile(const std::string &Src) {
+    std::istringstream In(Src);
+    for (std::string Line; std::getline(In, Line);) {
+      if (Line.rfind("routine ", 0) == 0)
+        Routines.emplace_back();
+      (Routines.empty() ? Prelude : Routines.back()).push_back(Line);
+    }
+  }
+
+  std::string str() const {
+    std::string Out;
+    for (const std::string &L : Prelude)
+      Out += L + "\n";
+    for (const std::vector<std::string> &R : Routines)
+      for (const std::string &L : R)
+        Out += L + "\n";
+    return Out;
+  }
+};
+
+/// Eight routines of 150 synthetic nests each behind one prelude: the shape
+/// of the files a compile server sees edited.
+std::string synthRoutinesSource(int Routines, int Nests) {
+  std::string Src = "program project\nparam n = 64\n";
+  for (int I = 0; I != Routines; ++I) {
+    SynthSpec Spec;
+    Spec.Nests = Nests;
+    Spec.Seed = 7 + static_cast<uint64_t>(I);
+    std::string Body = synthSource(Spec);
+    // Drop the generated program's own `program` and `param` lines.
+    Body.erase(0, Body.find('\n', Body.find('\n') + 1) + 1);
+    Src += "routine r" + std::to_string(I) + "\n" + Body;
+  }
+  return Src;
+}
+
+bool isAssignment(const std::string &Line) {
+  size_t Begin = Line.find_first_not_of(' ');
+  if (Begin == std::string::npos || Line.find(" = ") == std::string::npos)
+    return false;
+  size_t End = Line.find_first_of(" (", Begin);
+  std::string First = Line.substr(Begin, End - Begin);
+  for (const char *Keyword : {"do", "if", "end", "else", "begin", "real",
+                              "param", "routine", "program"})
+    if (First == Keyword)
+      return false;
+  return true;
+}
+
+/// `lhs = rhs` -> `lhs = rhs + rhs`: conformable, valid, one line.
+std::string doubledRhs(const std::string &Line) {
+  size_t Eq = Line.find(" = ");
+  return Line + " + " + Line.substr(Eq + 3);
+}
+
+/// Bumps the first digit 0-8 that starts a number on the right-hand side
+/// (a subscript offset or a literal, never part of a name), which moves
+/// communication; doubles the RHS when there is none.
+std::string bumpedRhs(const std::string &Line) {
+  std::string Out = Line;
+  for (size_t I = Line.find(" = ") + 3; I < Out.size(); ++I)
+    if (Out[I] >= '0' && Out[I] <= '8' && !std::isalnum(Out[I - 1]) &&
+        Out[I - 1] != '_') {
+      ++Out[I];
+      return Out;
+    }
+  return doubledRhs(Line);
+}
+
+/// True for an assignment to an array section, e.g. `a(2:n-1) = ...`.
+bool assignsSection(const std::string &Line) {
+  std::string Lhs = Line.substr(0, Line.find(" = "));
+  return Lhs.find('(') != std::string::npos &&
+         Lhs.find(':') != std::string::npos;
+}
+
+/// Breaks assignment \p Line with a lex, parse or scalarize error; the
+/// scalarize error needs a section target (assignsSection). An error that
+/// stays on its line recovers the same whether the routine is parsed alone
+/// or in its file.
+std::string brokenLine(const std::string &Line, const std::string &Error) {
+  if (Error == "lex error")
+    return Line + " @";
+  if (Error == "parse error")
+    return Line + " )";
+  // An element of the target array against its section: nonconforming.
+  std::string Lhs = Line.substr(0, Line.find(" = "));
+  size_t Begin = Lhs.find_first_not_of(' '), Paren = Lhs.find('(');
+  std::string Elem = Lhs.substr(Begin, Paren - Begin) + "(1";
+  for (char C : Lhs.substr(Paren))
+    if (C == ',')
+      Elem += ",1";
+  return Line + " + " + Elem + ")";
+}
+
+struct EditStep {
+  std::string What; ///< For failure messages.
+  std::string Source;
+  bool OneRoutineInPlace = false;
+};
+
+enum class EditKind {
+  InPlace,
+  ShiftLines,
+  PreludeParam,
+  AddRoutine,
+  RemoveRoutine,
+  RenameRoutine,
+  ReorderRoutines,
+  BreakThenFix,
+};
+
+/// A seeded sequence of edits to \p Start covering every edit class: in
+/// place, line-shifting, prelude params, routines added, removed, renamed
+/// and reordered, and an error (lex, parse, scalarize, or a routine left
+/// without its `end`) followed by its fix. \p Long adds a few more of the
+/// common classes.
+std::vector<EditStep> editSequence(const std::string &Start, uint64_t Seed,
+                                   bool Long) {
+  std::mt19937_64 Rng(Seed);
+  auto Pick = [&](size_t N) { return static_cast<size_t>(Rng() % N); };
+  RoutineFile F(Start);
+  std::vector<EditStep> Steps;
+  int Fresh = 0;
+  auto Emit = [&](const std::string &What, bool OneRoutine = false) {
+    Steps.push_back({What, F.str(), OneRoutine});
+  };
+  auto NameOf = [&](size_t R) { return F.Routines[R][0].substr(8); };
+  // A random assignment line of routine R (to a section when \p Section),
+  // or 0 when it has none.
+  auto AssignmentOf = [&](size_t R, bool Section = false) -> size_t {
+    std::vector<size_t> Lines;
+    for (size_t L = 1; L < F.Routines[R].size(); ++L)
+      if (isAssignment(F.Routines[R][L]) &&
+          (!Section || assignsSection(F.Routines[R][L])))
+        Lines.push_back(L);
+    return Lines.empty() ? 0 : Lines[Pick(Lines.size())];
+  };
+  const char *const Errors[] = {"scalarize error", "lex error",
+                                "parse error", "unterminated routine"};
+  size_t NextError = Pick(4);
+
+  std::vector<EditKind> Kinds = {
+      EditKind::InPlace,       EditKind::ShiftLines,
+      EditKind::PreludeParam,  EditKind::AddRoutine,
+      EditKind::RemoveRoutine, EditKind::RenameRoutine,
+      EditKind::ReorderRoutines, EditKind::BreakThenFix};
+  if (Long)
+    Kinds.insert(Kinds.end(),
+                 {EditKind::InPlace, EditKind::InPlace, EditKind::ShiftLines,
+                  EditKind::BreakThenFix, EditKind::BreakThenFix,
+                  EditKind::BreakThenFix});
+  std::shuffle(Kinds.begin(), Kinds.end(), Rng);
+  for (EditKind K : Kinds) {
+    size_t R = Pick(F.Routines.size());
+    std::vector<std::string> &Lines = F.Routines[R];
+    size_t L = AssignmentOf(R);
+    switch (K) {
+    case EditKind::InPlace:
+      if (!L)
+        break;
+      Lines[L] = Pick(2) ? bumpedRhs(Lines[L]) : doubledRhs(Lines[L]);
+      Emit("in-place edit of " + NameOf(R), /*OneRoutine=*/true);
+      break;
+    case EditKind::ShiftLines:
+      if (!L)
+        break;
+      if (Pick(2))
+        Lines.insert(Lines.begin() + static_cast<long>(L), Lines[L]);
+      else
+        Lines.erase(Lines.begin() + static_cast<long>(L));
+      Emit("line-shifting edit of " + NameOf(R));
+      break;
+    case EditKind::PreludeParam:
+      if (Pick(2)) {
+        F.Prelude.push_back("param extra" + std::to_string(Fresh++) +
+                            " = 3");
+      } else {
+        for (std::string &P : F.Prelude)
+          if (P.rfind("param ", 0) == 0) {
+            P = P.substr(0, P.find(" = ") + 3) +
+                std::to_string(std::stoi(P.substr(P.find(" = ") + 3)) + 4);
+            break;
+          }
+      }
+      Emit("prelude param edit");
+      break;
+    case EditKind::AddRoutine: {
+      std::vector<std::string> Copy = Lines;
+      Copy[0] = "routine added" + std::to_string(Fresh++);
+      F.Routines.insert(F.Routines.begin() +
+                            static_cast<long>(Pick(F.Routines.size() + 1)),
+                        std::move(Copy));
+      Emit("routine added");
+      break;
+    }
+    case EditKind::RemoveRoutine:
+      // Dropping the last routine leaves every other one where it was: a
+      // whole-file miss in which every routine hits.
+      if (F.Routines.size() < 2)
+        break;
+      F.Routines.pop_back();
+      Emit("last routine removed");
+      break;
+    case EditKind::RenameRoutine:
+      Lines[0] = "routine renamed" + std::to_string(Fresh++);
+      Emit("routine renamed");
+      break;
+    case EditKind::ReorderRoutines: {
+      if (F.Routines.size() < 2)
+        break;
+      size_t Other = (R + 1 + Pick(F.Routines.size() - 1)) % F.Routines.size();
+      std::swap(F.Routines[R], F.Routines[Other]);
+      Emit("routines reordered");
+      break;
+    }
+    case EditKind::BreakThenFix: {
+      // Each break takes the next error kind, so a long sequence has all
+      // four.
+      std::string What = Errors[NextError++ % 4];
+      if (What == "unterminated routine") {
+        // Without its `end`, a routine's whole-file parse runs on into the
+        // next routine: its errors differ from those of the routine parsed
+        // alone, so the compile must fall back to the whole-file parse.
+        if (R + 1 == F.Routines.size() || Lines.back() != "end")
+          break;
+        Lines.pop_back();
+        Emit(What + " " + NameOf(R));
+        Lines.push_back("end");
+        Emit("fix of the " + What);
+        break;
+      }
+      if (What == "scalarize error")
+        L = AssignmentOf(R, /*Section=*/true);
+      if (!L)
+        break;
+      std::string Original = Lines[L];
+      Lines[L] = brokenLine(Original, What);
+      Emit(What + " in " + NameOf(R));
+      // Either restore the line (a whole-file hit) or fix it differently.
+      Lines[L] = Pick(2) ? Original : doubledRhs(Original);
+      Emit("fix of the " + What);
+      break;
+    }
+    }
+  }
+  return Steps;
+}
+
+class RoutineEditDifferential
+    : public ::testing::TestWithParam<const char *> {};
+
+} // namespace
+
+TEST_P(RoutineEditDifferential, CachedEqualsUncachedAtEveryStep) {
+  std::string Name = GetParam();
+  // The 8x150-nest file costs about a quarter second per uncached compile
+  // in an asserts build; one configuration and the shorter sequence keep
+  // the test in the tier-1 time budget.
+  bool Large = Name == "synth8x150";
+  std::string Start;
+  if (Name == "multi")
+    Start = multiRoutineSource(8);
+  else if (Name == "hydflo")
+    Start = hydfloWorkload().Source;
+  else if (Name == "trimesh")
+    Start = trimeshWorkload().Source;
+  else
+    Start = synthRoutinesSource(8, 150);
+  std::vector<EditStep> Steps = editSequence(Start, fnv1a64(Name), !Large);
+
+  struct Config {
+    const char *Name;
+    Strategy Strat;
+    bool Fuse;
+  };
+  std::vector<Config> Configs = {{"comb", Strategy::Global, false},
+                                 {"orig", Strategy::Orig, false},
+                                 {"comb --fuse", Strategy::Global, true}};
+  if (Large)
+    Configs.resize(1);
+  for (const Config &C : Configs) {
+    SCOPED_TRACE(C.Name);
+    CompileOptions Opts;
+    Opts.Placement.Strat = C.Strat;
+    Opts.FuseLoops = C.Fuse;
+    Opts.Audit = true;
+    Opts.Verify = VerifyMode::Final;
+    Opts.Lint = true;
+    ResultCache Cache;
+    Session First(Start, Opts);
+    CachedPipeline(Cache).run(First);
+    for (size_t I = 0; I != Steps.size(); ++I) {
+      const EditStep &Step = Steps[I];
+      SCOPED_TRACE("step " + std::to_string(I) + ": " + Step.What);
+      CacheStats Before = Cache.stats();
+      Session Cached(Step.Source, Opts);
+      bool WholeFileHit = CachedPipeline(Cache).run(Cached);
+      size_t LiveRoutines = Cached.Result.Routines.size();
+      Observed Got = observe(Cached);
+      Observed Want = compileObserved(Step.Source, Opts, nullptr);
+      if (WholeFileHit)
+        Got.PassCounters = Want.PassCounters;
+      EXPECT_EQ(Got.Output, Want.Output);
+      EXPECT_EQ(Got, Want);
+      if (Step.OneRoutineInPlace) {
+        CacheStats After = Cache.stats();
+        EXPECT_EQ(After.RoutineMisses - Before.RoutineMisses, 1);
+        EXPECT_EQ(LiveRoutines, 1u);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EditSequences, RoutineEditDifferential,
+                         ::testing::Values("multi", "hydflo", "trimesh",
+                                           "synth8x150"),
+                         [](const auto &Info) {
+                           return std::string(Info.param);
+                         });

@@ -218,6 +218,76 @@ end
   EXPECT_EQ(P->findRoutine("three"), nullptr);
 }
 
+TEST(Parser, RoutineParamIsScopedToItsRoutine) {
+  const std::string Src = R"(program scoped
+param n = 8
+routine r0
+param m = 4
+real a(m) distribute (block)
+begin
+  a = 1
+end
+routine r1
+real z(m) distribute (block)
+begin
+  z = 1
+end
+)";
+  DiagEngine D;
+  parseProgram(Src, D);
+  EXPECT_NE(D.str().find("error: 10:8: unknown name 'm'"), std::string::npos)
+      << D.str();
+
+  // The declaring routine sees its param; a file-level override still
+  // wins inside it, and binds the name for every routine.
+  std::string Own = Src.substr(0, Src.find("routine r1"));
+  EXPECT_EQ(parseOk(Own)->Routines[0]->array(0).extent(0), 4);
+  auto P = parseOk(Src, {{"m", 12}});
+  EXPECT_EQ(P->Routines[0]->array(0).extent(0), 12);
+  EXPECT_EQ(P->Routines[1]->array(0).extent(0), 12);
+}
+
+TEST(Parser, RoutineBlocksParseAtTheirOwnLines) {
+  const std::string Prelude = "program blocks\nparam n = 6\n";
+  const std::string R0 = "routine r0\nreal a(n) distribute (block)\n"
+                         "begin\n  a(1:n) = 1\nend\n";
+  const std::string R1 = "routine r1\nparam k = 2\n"
+                         "real b(n+k) distribute (block)\n"
+                         "begin\n  b(1:n) = b(2:n+1)\nend\n";
+  const std::string Whole = Prelude + R0 + R1;
+  DiagEngine WholeDiags;
+  std::unique_ptr<Program> Ref = parseProgram(Whole, WholeDiags);
+  ASSERT_FALSE(WholeDiags.hasErrors()) << WholeDiags.str();
+
+  // Only the second routine, at the line it has in the whole file: same
+  // routine, same statement locations.
+  DiagEngine D;
+  std::unique_ptr<Program> P =
+      parseRoutineBlocks(Prelude, {{R1, 8}}, D);
+  ASSERT_FALSE(D.hasErrors()) << D.str();
+  ASSERT_EQ(P->Routines.size(), 1u);
+  EXPECT_EQ(P->Name, "blocks");
+  EXPECT_EQ(printRoutine(*P->Routines[0]), printRoutine(*Ref->Routines[1]));
+  EXPECT_EQ(P->Routines[0]->body()[0]->loc().Line,
+            Ref->Routines[1]->body()[0]->loc().Line);
+  EXPECT_EQ(P->Routines[0]->body()[0]->loc().Line, 12);
+
+  // A block holding more than one routine, or a prelude holding more than
+  // the header, is an error rather than a silent regrouping.
+  DiagEngine Two;
+  parseRoutineBlocks(Prelude, {{R0 + R1, 3}}, Two);
+  EXPECT_NE(Two.str().find("trailing tokens"), std::string::npos) << Two.str();
+  DiagEngine Header;
+  parseRoutineBlocks(Prelude + "real x\n", {{R0, 4}}, Header);
+  EXPECT_TRUE(Header.hasErrors());
+  DiagEngine Lex;
+  EXPECT_EQ(parseRoutineBlocks(Prelude, {{"routine r0\nreal a(@)\n", 3}}, Lex),
+            nullptr);
+  EXPECT_NE(Lex.str().find("error: 4:8: unexpected character '@'"),
+            std::string::npos)
+      << Lex.str();
+}
+
 TEST(Parser, ErrorUndeclaredName) {
   std::string E = parseErr(R"(
 program e

@@ -563,9 +563,16 @@ TEST(AdminPlaneTest, MetricsBodyMatchesSnapshotExposition) {
                                     requestFor(smallSource(), 1)))),
             "ok");
   ::close(Fd);
+  // The server reaps the closed connection on its own thread; wait until it
+  // has, so both renders see the same quiescent server.
+  for (int Spin = 0;
+       Spin < 5000 && TS.server().counter("server.connections-active") != 0;
+       ++Spin)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(TS.server().counter("server.connections-active"), 0);
   // The admin endpoint renders through the same MetricsSnapshot as the
   // socket `metrics` command; a quiescent server yields identical bytes
-  // modulo the uptime gauge, which legitimately ticks between renders.
+  // modulo the uptime counter, which legitimately ticks between renders.
   auto Stable = [](const std::string &Text) {
     std::string Out;
     size_t Pos = 0;
@@ -582,6 +589,8 @@ TEST(AdminPlaneTest, MetricsBodyMatchesSnapshotExposition) {
   std::string FromSnapshot = TS.server().metricsSnapshot().prometheus();
   EXPECT_EQ(Stable(FromAdmin), Stable(FromSnapshot));
   EXPECT_NE(FromAdmin.find("# TYPE gca_server_requests counter"),
+            std::string::npos);
+  EXPECT_NE(FromAdmin.find("# TYPE gca_server_connections_active gauge"),
             std::string::npos);
 }
 

@@ -165,6 +165,7 @@ TEST(MetricsSnapshot, JsonAndPrometheus) {
   MetricsSnapshot S;
   S.Counters["cache.hits"] = 3;
   S.Counters["driver.inputs"] = 7;
+  S.Gauges["server.queue-depth"] = 2;
   Histogram H;
   H.record(100);
   H.record(200);
@@ -173,12 +174,18 @@ TEST(MetricsSnapshot, JsonAndPrometheus) {
   std::string J = S.json();
   EXPECT_TRUE(structurallyValidJson(J));
   EXPECT_NE(J.find("\"cache.hits\":3"), std::string::npos);
+  EXPECT_NE(J.find("\"gauges\":{\"server.queue-depth\":2}"),
+            std::string::npos);
   EXPECT_NE(J.find("\"compile.wall_ns\""), std::string::npos);
   EXPECT_NE(J.find("\"count\":2"), std::string::npos);
 
   std::string P = S.prometheus();
   EXPECT_NE(P.find("# TYPE gca_cache_hits counter"), std::string::npos);
   EXPECT_NE(P.find("gca_cache_hits 3"), std::string::npos);
+  EXPECT_NE(P.find("# TYPE gca_server_queue_depth gauge\n"
+                   "gca_server_queue_depth 2\n"),
+            std::string::npos);
+  EXPECT_EQ(P.find("gca_server_queue_depth counter"), std::string::npos);
   EXPECT_NE(P.find("# TYPE gca_compile_wall_ns summary"), std::string::npos);
   EXPECT_NE(P.find("gca_compile_wall_ns{quantile=\"0.5\"}"),
             std::string::npos);
