@@ -56,10 +56,29 @@ public:
       S.EntryDefs[V] = D;
       Cur[V] = D;
     }
+    S.LoopDefBegin.assign(S.G->numLoops(), 0);
+    S.LoopDefEnd.assign(S.G->numLoops(), 0);
     buildList(R.body());
+    indexArrayDefs();
   }
 
 private:
+  /// Groups the regular array defs by array (a counting sort over the
+  /// id-ordered def table keeps program order within each group).
+  void indexArrayDefs() {
+    S.ArrayDefBegin.assign(S.NumArrays + 1, 0);
+    for (const SsaDef &D : S.Defs)
+      if (D.Kind == DefKind::Regular && S.varIsArray(D.Var))
+        ++S.ArrayDefBegin[D.Var + 1];
+    for (int A = 0; A != S.NumArrays; ++A)
+      S.ArrayDefBegin[A + 1] += S.ArrayDefBegin[A];
+    S.ArrayDefIds.resize(S.ArrayDefBegin[S.NumArrays]);
+    std::vector<int> Fill(S.ArrayDefBegin.begin(), S.ArrayDefBegin.end() - 1);
+    for (const SsaDef &D : S.Defs)
+      if (D.Kind == DefKind::Regular && S.varIsArray(D.Var))
+        S.ArrayDefIds[Fill[D.Var]++] = D.Id;
+  }
+
   int newDef(DefKind Kind, int Var) {
     SsaDef D;
     D.Id = static_cast<int>(S.Defs.size());
@@ -134,6 +153,7 @@ private:
     // phiEntry defs at the header; the back-edge parameter is patched after
     // the body is processed.
     LoopStack.push_back(LoopId);
+    S.LoopDefBegin[LoopId] = static_cast<int>(S.Defs.size());
     std::vector<std::pair<int, int>> Phis; // (var, phiEntry def id)
     for (int Var : Defined) {
       int D = newDef(DefKind::PhiEntry, Var);
@@ -146,6 +166,7 @@ private:
     }
 
     buildList(L->body());
+    S.LoopDefEnd[LoopId] = static_cast<int>(S.Defs.size());
 
     for (auto &[Var, Phi] : Phis)
       S.Defs[Phi].Params[1] = Cur[Var];
@@ -211,6 +232,13 @@ int Ssa::reachingBefore(const AssignStmt *S, int Var) const {
   const std::vector<int> &Map = UseReaching[S->id()];
   assert(!Map.empty() && "statement has no recorded reaching defs");
   return Map[Var];
+}
+
+std::span<const int> Ssa::arrayDefsInLoop(int ArrayId, int LoopId) const {
+  std::span<const int> All = arrayDefs(ArrayId);
+  auto Begin = std::lower_bound(All.begin(), All.end(), LoopDefBegin[LoopId]);
+  auto End = std::lower_bound(Begin, All.end(), LoopDefEnd[LoopId]);
+  return {Begin, End};
 }
 
 void Ssa::collectReachingRegularDefs(int DefId, std::vector<int> &Out,

@@ -31,6 +31,7 @@
 
 #include "cfg/Cfg.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,10 +99,30 @@ public:
   /// def takes effect).
   int reachingBefore(const AssignStmt *S, int Var) const;
 
+  // Regular-def index ----------------------------------------------------
+  //
+  // The builder numbers defs in program order, so each array's regular defs
+  // sorted by id are in program order, and the defs created inside a loop
+  // form one contiguous id range. Together they make "the defs of A inside
+  // loop L" a slice found by two binary searches, with no walk.
+
+  /// The regular defs of array \p ArrayId, in program order.
+  std::span<const int> arrayDefs(int ArrayId) const {
+    return {ArrayDefIds.data() + ArrayDefBegin[ArrayId],
+            ArrayDefIds.data() + ArrayDefBegin[ArrayId + 1]};
+  }
+
+  /// The regular defs of array \p ArrayId inside loop \p LoopId (at any
+  /// depth), in program order: a contiguous slice of arrayDefs().
+  std::span<const int> arrayDefsInLoop(int ArrayId, int LoopId) const;
+
   /// Collects every *regular* def reachable backwards from \p DefId through
   /// phi parameters and preserving-def Prev links, plus a flag for the ENTRY
-  /// pseudo-def. This is the "reaching regular defs of u" set that Latest(u)
-  /// iterates over (Section 4.2).
+  /// pseudo-def: the "reaching regular defs of u" set of Section 4.2.
+  /// Reference implementation: Latest(u) reads the same defs off the index
+  /// (every regular def inside a loop enclosing u reaches u, and any other
+  /// has common nesting level 0), and the range-analysis oracle test
+  /// checks the two against each other.
   void collectReachingRegularDefs(int DefId, std::vector<int> &Out,
                                   bool &ReachesEntry) const;
 
@@ -124,6 +145,12 @@ private:
   std::vector<int> StmtDef;   ///< Stmt id -> regular def id (-1).
   /// Stmt id -> (var -> reaching def) dense map; only assign stmts filled.
   std::vector<std::vector<int>> UseReaching;
+  /// Regular array defs grouped by array, program order within each group;
+  /// array A's group is [ArrayDefBegin[A], ArrayDefBegin[A + 1]).
+  std::vector<int> ArrayDefIds;
+  std::vector<int> ArrayDefBegin;
+  /// Loop id -> the half-open range of def ids created inside the loop.
+  std::vector<int> LoopDefBegin, LoopDefEnd;
 
   friend class SsaBuilder;
 };
