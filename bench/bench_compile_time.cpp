@@ -326,6 +326,42 @@ void writeResultsFile(const char *Path) {
         Par8 ? 100 * Serial / Par8 : 0;
   }
 
+  // Placement scaling: serial placement time (the placement pass alone) on
+  // the seeded synth routine at n2000, n4000 and n8000 nests, min of 7.
+  // The sizes take turns within each repetition, so a drift in host speed
+  // reaches all three alike. bench_gate fails when one doubling costs more
+  // than its ratio bar, which catches a quadratic term that a
+  // constant-factor threshold would not.
+  {
+    const int Sizes[] = {2000, 4000, 8000};
+    std::vector<std::string> Srcs;
+    for (int Nests : Sizes) {
+      SynthSpec Spec;
+      Spec.Nests = Nests;
+      Spec.Seed = 1;
+      Srcs.push_back(synthSource(Spec));
+    }
+    int64_t Best[3] = {0, 0, 0};
+    for (int Rep = 0; Rep != 7; ++Rep)
+      for (int K = 0; K != 3; ++K) {
+        CompileOptions Opts;
+        Opts.Audit = false;
+        Opts.Verify = VerifyMode::Off;
+        Opts.Placement.Jobs = 1;
+        Session S(Srcs[K], Opts);
+        S.run();
+        int64_t P = 0;
+        for (const PassRecord &PR : S.Passes)
+          if (PR.Name == "placement")
+            P += static_cast<int64_t>(PR.Time.WallSec * 1e9);
+        if (Rep == 0 || P < Best[K])
+          Best[K] = P;
+      }
+    for (int K = 0; K != 3; ++K)
+      Snap.Counters["synth.n" + std::to_string(Sizes[K]) +
+                    ".placement_serial_ns"] = Best[K];
+  }
+
   // The 100x scale target: one n10000 (~30k-entry) compile at 8 placement
   // jobs. Single-shot — the point is that the arena/SoA engine completes it
   // in bounded time and memory, and the trend is visible across baselines;

@@ -17,6 +17,12 @@ Metric classes:
                   generator is seeded, so a drift means the workload or
                   the analysis changed shape -- rebase the baseline
                   deliberately).  Always enforced, even with --warn-only.
+  scaling         synth.n{2000,4000,8000}.placement_serial_ns: serial
+                  placement time at three doubling sizes of the seeded
+                  synth routine.  Each doubling may cost at most
+                  SCALING_MAX_RATIO (2.5x) -- checked within the current
+                  run, so a quadratic term fails on any host, however
+                  fast or slow.
   speedup         synth.n2000.speedup_jobs8_pct must reach
                   SPEEDUP_MIN_PCT (4x) -- but only when the measuring
                   host reports host.cores >= SPEEDUP_MIN_CORES (8): a
@@ -60,6 +66,9 @@ WARN_THRESHOLDS = {
     "synth.n2000.placement_plus_audit_jobs8_ns": 2.0,
     "synth.n10000.placement_plus_audit_jobs8_ns": 2.0,
     "synth.n10000.wall_jobs8_ns": 2.0,
+    "synth.n2000.placement_serial_ns": 2.0,
+    "synth.n4000.placement_serial_ns": 2.0,
+    "synth.n8000.placement_serial_ns": 2.0,
 }
 DEFAULT_WARN = 1.5
 
@@ -69,6 +78,12 @@ DEFAULT_WARN = 1.5
 # or more cores (the metric is meaningless on smaller hosts).
 SPEEDUP_MIN_PCT = 400
 SPEEDUP_MIN_CORES = 8
+
+# Placement must scale near-linearly: serial placement time may grow by at
+# most this factor per doubling of the synth routine (n2000 -> n4000 ->
+# n8000), checked within the current run.
+SCALING_SIZES = (2000, 4000, 8000)
+SCALING_MAX_RATIO = 2.5
 
 # The translation-validation verifier must stay cheap relative to the
 # compilation it validates: verify_ns <= this fraction of the unverified
@@ -197,6 +212,29 @@ def main():
         else:
             print(f"  ok     parallel speedup {speedup / 100:.2f}x at 8 jobs "
                   f"({cores}-core host, bar {SPEEDUP_MIN_PCT / 100:.0f}x)")
+
+    # Placement scaling: per-doubling time ratio within the current run.
+    sizes = [n for n in SCALING_SIZES
+             if f"synth.n{n}.placement_serial_ns" in cur]
+    if len(sizes) < len(SCALING_SIZES):
+        warnings.append("placement scaling check skipped: "
+                        "synth.n*.placement_serial_ns missing in current")
+    else:
+        for small, big in zip(sizes, sizes[1:]):
+            t_small = cur[f"synth.n{small}.placement_serial_ns"]
+            t_big = cur[f"synth.n{big}.placement_serial_ns"]
+            if t_small <= 0:
+                failures.append(f"synth.n{small}.placement_serial_ns is "
+                                f"{t_small}, cannot compute a ratio")
+                continue
+            ratio = t_big / t_small
+            if ratio > SCALING_MAX_RATIO:
+                failures.append(
+                    f"placement scaling n{small} -> n{big}: {ratio:.2f}x "
+                    f"(limit {SCALING_MAX_RATIO}x per doubling)")
+            else:
+                print(f"  ok     placement scaling n{small} -> n{big} "
+                      f"{ratio:.2f}x (limit {SCALING_MAX_RATIO}x)")
 
     # Collective lowering wins: the lowered round schedules should beat the
     # monolithic pattern cost on at least 3 of the 4 Figure 10 workloads on
