@@ -36,6 +36,21 @@ private:
 
 } // namespace
 
+std::string gca::synthRoutinesSource(int Routines, int Nests,
+                                     uint64_t FirstSeed) {
+  std::string Src = "program project\nparam n = 64\n";
+  for (int I = 0; I != Routines; ++I) {
+    SynthSpec Spec;
+    Spec.Nests = Nests;
+    Spec.Seed = FirstSeed + static_cast<uint64_t>(I);
+    std::string Body = synthSource(Spec);
+    // Drop the generated program's own `program` and `param` lines.
+    Body.erase(0, Body.find('\n', Body.find('\n') + 1) + 1);
+    Src += "routine r" + std::to_string(I) + "\n" + Body;
+  }
+  return Src;
+}
+
 std::string gca::synthName(const SynthSpec &Spec) {
   return strFormat("synth:N=%d,seed=%llu", Spec.Nests,
                    static_cast<unsigned long long>(Spec.Seed));

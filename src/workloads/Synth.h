@@ -52,6 +52,12 @@ struct SynthSpec {
 /// The generated program text.
 std::string synthSource(const SynthSpec &Spec);
 
+/// A multi-routine file: \p Routines `routine` blocks behind one prelude
+/// (`program project`, `param n = 64`), block I holding the body of the
+/// \p Nests-nest program of seed \p FirstSeed + I. The shape of the files a
+/// compile server sees edited.
+std::string synthRoutinesSource(int Routines, int Nests, uint64_t FirstSeed);
+
 /// "synth:N=<nests>,seed=<seed>" — the input name used by drivers and
 /// benchmarks for a generated workload.
 std::string synthName(const SynthSpec &Spec);

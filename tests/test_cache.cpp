@@ -916,22 +916,6 @@ struct RoutineFile {
   }
 };
 
-/// Eight routines of 150 synthetic nests each behind one prelude: the shape
-/// of the files a compile server sees edited.
-std::string synthRoutinesSource(int Routines, int Nests) {
-  std::string Src = "program project\nparam n = 64\n";
-  for (int I = 0; I != Routines; ++I) {
-    SynthSpec Spec;
-    Spec.Nests = Nests;
-    Spec.Seed = 7 + static_cast<uint64_t>(I);
-    std::string Body = synthSource(Spec);
-    // Drop the generated program's own `program` and `param` lines.
-    Body.erase(0, Body.find('\n', Body.find('\n') + 1) + 1);
-    Src += "routine r" + std::to_string(I) + "\n" + Body;
-  }
-  return Src;
-}
-
 bool isAssignment(const std::string &Line) {
   size_t Begin = Line.find_first_not_of(' ');
   if (Begin == std::string::npos || Line.find(" = ") == std::string::npos)
@@ -1164,7 +1148,7 @@ TEST_P(RoutineEditDifferential, CachedEqualsUncachedAtEveryStep) {
   else if (Name == "trimesh")
     Start = trimeshWorkload().Source;
   else
-    Start = synthRoutinesSource(8, 150);
+    Start = synthRoutinesSource(8, 150, /*FirstSeed=*/7);
   std::vector<EditStep> Steps = editSequence(Start, fnv1a64(Name), !Large);
 
   struct Config {
