@@ -161,21 +161,73 @@ enum class DecisionKind : uint8_t {
 
 const char *decisionKindName(DecisionKind K);
 
-/// One record of the placement decision log.
+/// The wording of a decision whose kind has more than one.
+enum class DecisionReason : uint8_t {
+  None,
+  CoveredByDominating,  ///< RedundancyEliminated by earliest placement.
+  SubsumedAtCommonSlot, ///< RedundancyEliminated by the global algorithm.
+  JoinedGroup,          ///< CombinedIntoGroup: admitted to an open group.
+  OpenedGroup,          ///< CombinedIntoGroup: opened a new group.
+  AttachedViaSubsumer,  ///< CombinedIntoGroup: served by its subsumer's.
+};
+
+/// One record of the placement decision log. Its payload is typed and taken
+/// when the decision is made, never re-derived later: members, candidates
+/// and slots keep changing after the event. Only decisionDetail() turns it
+/// into text, so a compile that never prints the log formats nothing.
 struct DecisionEvent {
-  DecisionKind Kind;
+  DecisionKind Kind = DecisionKind::Detected;
+  DecisionReason Reason = DecisionReason::None;
+  /// The communication kind (Detected, GroupPlaced).
+  CommKind Comm = CommKind::Local;
   /// The entry decided about; -1 for slot- and group-scoped events.
   int EntryId = -1;
   /// The other party: subsumer entry id (RedundancyEliminated,
-  /// PartiallyReduced), group id (CombinedIntoGroup, GroupPlaced); -1 when
-  /// not applicable.
+  /// PartiallyReduced), group id (CombinedIntoGroup, GroupPlaced,
+  /// LoweredAs); -1 when not applicable.
   int OtherId = -1;
   /// The slot involved (cleared slot, chosen placement); invalid when n/a.
   Slot Where;
-  /// Human-readable specifics ("kind=NNC array=a refs=2", "covered by
-  /// (B4,0)"), stable across runs.
-  std::string Detail;
+  /// The Latest slot (RangeComputed) or the covering slot
+  /// (SubsetSlotCleared).
+  Slot Second;
+  /// Kind-specific counts, in the order the detail prints them:
+  ///   Detected: array id, references, diagonal id (-1: none);
+  ///   RangeComputed: candidates, communication level;
+  ///   SubsetSlotCleared: entries affected;
+  ///   CombinedIntoGroup (JoinedGroup): members after joining;
+  ///   GroupPlaced: members, attached entries, data descriptors;
+  ///   LoweredAs: ranks, rounds, fused groups (0: standalone).
+  int Num[3] = {0, 0, 0};
+  /// LoweredAs: the nominal payload, rounded to whole bytes.
+  int64_t Bytes = 0;
+  /// LoweredAs: the collective operation and algorithm, as the static
+  /// strings of collOpName and collAlgoName.
+  const char *Op = nullptr;
+  const char *Algo = nullptr;
+
+  static DecisionEvent detected(int Entry, CommKind K, int ArrayId, int Refs,
+                                int DiagId);
+  static DecisionEvent rangeComputed(int Entry, Slot Earliest, Slot Latest,
+                                     int Candidates, int Level);
+  static DecisionEvent subsetSlotCleared(Slot Cleared, Slot CoveredBy,
+                                         int Affected);
+  static DecisionEvent redundancyEliminated(int Entry, int Subsumer, Slot S,
+                                            DecisionReason Why);
+  static DecisionEvent partiallyReduced(int Entry, int Covering, Slot S);
+  /// \p Members is the group's size after a JoinedGroup admission.
+  static DecisionEvent combinedIntoGroup(int Entry, int Group, Slot S,
+                                         DecisionReason Why, int Members = 0);
+  static DecisionEvent groupPlaced(int Group, Slot S, CommKind K, int Members,
+                                   int Attached, int Data);
+  static DecisionEvent loweredAs(int Group, Slot S, const char *Op,
+                                 const char *Algo, int Procs, int64_t Bytes,
+                                 int Rounds, int Fused);
 };
+
+/// The event's specifics as text ("kind=NNC array=a refs=2", "covered by
+/// (B4,0); 3 entries affected"), stable across runs. \p R names arrays.
+std::string decisionDetail(const DecisionEvent &E, const Routine &R);
 
 using DecisionLog = std::vector<DecisionEvent>;
 
@@ -266,7 +318,7 @@ struct CommPlan {
   std::string str(const Routine &R) const;
 
   /// One "  <kind> entry=<id> ... <detail>" line per decision event.
-  std::string decisionsStr() const;
+  std::string decisionsStr(const Routine &R) const;
 };
 
 } // namespace gca

@@ -62,6 +62,104 @@ const char *gca::decisionKindName(DecisionKind K) {
   return "?";
 }
 
+DecisionEvent DecisionEvent::detected(int Entry, CommKind K, int ArrayId,
+                                      int Refs, int DiagId) {
+  DecisionEvent E;
+  E.Kind = DecisionKind::Detected;
+  E.Comm = K;
+  E.EntryId = Entry;
+  E.Num[0] = ArrayId;
+  E.Num[1] = Refs;
+  E.Num[2] = DiagId;
+  return E;
+}
+
+DecisionEvent DecisionEvent::rangeComputed(int Entry, Slot Earliest,
+                                           Slot Latest, int Candidates,
+                                           int Level) {
+  DecisionEvent E;
+  E.Kind = DecisionKind::RangeComputed;
+  E.EntryId = Entry;
+  E.Where = Earliest;
+  E.Second = Latest;
+  E.Num[0] = Candidates;
+  E.Num[1] = Level;
+  return E;
+}
+
+DecisionEvent DecisionEvent::subsetSlotCleared(Slot Cleared, Slot CoveredBy,
+                                               int Affected) {
+  DecisionEvent E;
+  E.Kind = DecisionKind::SubsetSlotCleared;
+  E.Where = Cleared;
+  E.Second = CoveredBy;
+  E.Num[0] = Affected;
+  return E;
+}
+
+DecisionEvent DecisionEvent::redundancyEliminated(int Entry, int Subsumer,
+                                                  Slot S, DecisionReason Why) {
+  DecisionEvent E;
+  E.Kind = DecisionKind::RedundancyEliminated;
+  E.Reason = Why;
+  E.EntryId = Entry;
+  E.OtherId = Subsumer;
+  E.Where = S;
+  return E;
+}
+
+DecisionEvent DecisionEvent::partiallyReduced(int Entry, int Covering,
+                                              Slot S) {
+  DecisionEvent E;
+  E.Kind = DecisionKind::PartiallyReduced;
+  E.EntryId = Entry;
+  E.OtherId = Covering;
+  E.Where = S;
+  return E;
+}
+
+DecisionEvent DecisionEvent::combinedIntoGroup(int Entry, int Group, Slot S,
+                                               DecisionReason Why,
+                                               int Members) {
+  DecisionEvent E;
+  E.Kind = DecisionKind::CombinedIntoGroup;
+  E.Reason = Why;
+  E.EntryId = Entry;
+  E.OtherId = Group;
+  E.Where = S;
+  E.Num[0] = Members;
+  return E;
+}
+
+DecisionEvent DecisionEvent::groupPlaced(int Group, Slot S, CommKind K,
+                                         int Members, int Attached, int Data) {
+  DecisionEvent E;
+  E.Kind = DecisionKind::GroupPlaced;
+  E.Comm = K;
+  E.OtherId = Group;
+  E.Where = S;
+  E.Num[0] = Members;
+  E.Num[1] = Attached;
+  E.Num[2] = Data;
+  return E;
+}
+
+DecisionEvent DecisionEvent::loweredAs(int Group, Slot S, const char *Op,
+                                       const char *Algo, int Procs,
+                                       int64_t Bytes, int Rounds, int Fused) {
+  DecisionEvent E;
+  E.Kind = DecisionKind::LoweredAs;
+  E.OtherId = Group;
+  E.Where = S;
+  E.Op = Op;
+  E.Algo = Algo;
+  E.Num[0] = Procs;
+  E.Num[1] = Rounds;
+  E.Num[2] = Fused;
+  E.Bytes = Bytes;
+  return E;
+}
+
 /// "(B4,1)" rendering shared by decision details.
 static std::string slotStr(const Slot &S) {
   if (!S.isValid())
@@ -69,7 +167,50 @@ static std::string slotStr(const Slot &S) {
   return strFormat("(B%d,%d)", S.Node, S.Index);
 }
 
-std::string CommPlan::decisionsStr() const {
+std::string gca::decisionDetail(const DecisionEvent &E, const Routine &R) {
+  switch (E.Kind) {
+  case DecisionKind::Detected: {
+    std::string Out = strFormat("kind=%s array=%s refs=%d",
+                                commKindName(E.Comm),
+                                R.array(E.Num[0]).Name.c_str(), E.Num[1]);
+    if (E.Num[2] >= 0)
+      Out += strFormat(" diag=%d", E.Num[2]);
+    return Out;
+  }
+  case DecisionKind::RangeComputed:
+    return strFormat("earliest=%s latest=%s candidates=%d level=%d",
+                     slotStr(E.Where).c_str(), slotStr(E.Second).c_str(),
+                     E.Num[0], E.Num[1]);
+  case DecisionKind::SubsetSlotCleared:
+    return strFormat("covered by %s; %d entries affected",
+                     slotStr(E.Second).c_str(), E.Num[0]);
+  case DecisionKind::RedundancyEliminated:
+    return E.Reason == DecisionReason::CoveredByDominating
+               ? "covered by dominating communication"
+               : "descriptor subsumed at common slot";
+  case DecisionKind::PartiallyReduced:
+    return "remainder-only send";
+  case DecisionKind::CombinedIntoGroup:
+    if (E.Reason == DecisionReason::JoinedGroup)
+      return strFormat("members=%d", E.Num[0]);
+    return E.Reason == DecisionReason::OpenedGroup ? "opened group"
+                                                   : "attached via subsumer";
+  case DecisionKind::GroupPlaced:
+    return strFormat("kind=%s members=%d attached=%d data=%d",
+                     commKindName(E.Comm), E.Num[0], E.Num[1], E.Num[2]);
+  case DecisionKind::LoweredAs: {
+    std::string Out = strFormat("%s/%s procs=%d bytes=%lld rounds=%d", E.Op,
+                                E.Algo, E.Num[0],
+                                static_cast<long long>(E.Bytes), E.Num[1]);
+    if (E.Num[2] > 0)
+      Out += strFormat(" fused=%d", E.Num[2]);
+    return Out;
+  }
+  }
+  return std::string();
+}
+
+std::string CommPlan::decisionsStr(const Routine &R) const {
   std::string Out;
   for (const DecisionEvent &E : Decisions) {
     Out += strFormat("  %-21s", decisionKindName(E.Kind));
@@ -86,9 +227,9 @@ std::string CommPlan::decisionsStr() const {
           E.OtherId);
     if (E.Where.isValid())
       Out += " @" + slotStr(E.Where);
-    if (!E.Detail.empty())
-      Out += " " + E.Detail;
-    Out += "\n";
+    Out += ' ';
+    Out += decisionDetail(E, R);
+    Out += '\n';
   }
   return Out;
 }
@@ -249,12 +390,9 @@ private:
         E.Candidates = SlotSpan(Mem, Len);
         E.OriginalCandidates = SlotSpan(Mem + Len, Len);
         Prev = End;
-        Plan.Decisions.push_back(
-            {DecisionKind::RangeComputed, E.Id, -1, E.EarliestSlot,
-             strFormat("earliest=%s latest=%s candidates=%d level=%d",
-                       slotStr(E.EarliestSlot).c_str(),
-                       slotStr(E.LatestSlot).c_str(), static_cast<int>(Len),
-                       E.CommLevel)});
+        Plan.Decisions.push_back(DecisionEvent::rangeComputed(
+            E.Id, E.EarliestSlot, E.LatestSlot, static_cast<int>(Len),
+            E.CommLevel));
       }
     }
   }
@@ -364,45 +502,53 @@ private:
   /// exactly the pairs the full scans reject on the cheap kind/signature
   /// checks, so it cannot change any decision.
   void computeClasses(const CommPlan &Plan) {
-    std::map<std::string, int> CompatIds;
+    // Integer key tuple: kind, signature rank, each dim's (extent,
+    // distribution), then the kind's direction data. Equal tuples are equal
+    // classes; ids are handed out in first-seen order.
+    std::map<std::vector<int64_t>, int> CompatIds;
     std::map<std::pair<int, int>, int> SubsumeIds;
+    std::vector<int64_t> Key;
+    int NumCompat = 0;
     CompatClass.resize(Plan.Entries.size());
     SubsumeClass.resize(Plan.Entries.size());
     for (const CommEntry &E : Plan.Entries) {
-      std::string Key;
+      int Compat;
       if (E.M.Kind == CommKind::General) {
-        Key = strFormat("G!%d", E.Id);
+        Compat = NumCompat++; // Matches nothing, itself included.
       } else {
-        Key = strFormat("%d|", static_cast<int>(E.M.Kind));
-        for (const auto &[Ext, Dist] : E.M.Sig.Dims)
-          Key += strFormat("%lld/%d,", static_cast<long long>(Ext),
-                           static_cast<int>(Dist));
-        Key += "|";
+        Key.assign({static_cast<int64_t>(E.M.Kind),
+                    static_cast<int64_t>(E.M.Sig.Dims.size())});
+        for (const auto &[Ext, Dist] : E.M.Sig.Dims) {
+          Key.push_back(Ext);
+          Key.push_back(static_cast<int64_t>(Dist));
+        }
         switch (E.M.Kind) {
         case CommKind::Shift:
           for (int64_t O : E.M.Offsets)
-            Key += O > 0 ? '+' : O < 0 ? '-' : '0';
+            Key.push_back(O > 0 ? 1 : O < 0 ? -1 : 0);
           break;
         case CommKind::Reduce:
           for (uint8_t D : E.M.ReduceDims)
-            Key += D ? '+' : '.';
+            Key.push_back(D ? 1 : 0);
           break;
         case CommKind::Bcast:
-          Key += strFormat("d%d=%lld", E.M.BcastDim,
-                           static_cast<long long>(E.M.BcastPos));
+          Key.push_back(E.M.BcastDim);
+          Key.push_back(E.M.BcastPos);
           break;
         default:
           break;
         }
+        auto It = CompatIds.find(Key);
+        if (It == CompatIds.end())
+          It = CompatIds.emplace(Key, NumCompat++).first;
+        Compat = It->second;
       }
-      auto It = CompatIds.emplace(Key, static_cast<int>(CompatIds.size()));
-      CompatClass[E.Id] = It.first->second;
-      auto It2 = SubsumeIds.emplace(
-          std::make_pair(E.ArrayId, It.first->second),
-          static_cast<int>(SubsumeIds.size()));
+      CompatClass[E.Id] = Compat;
+      auto It2 = SubsumeIds.emplace(std::make_pair(E.ArrayId, Compat),
+                                    static_cast<int>(SubsumeIds.size()));
       SubsumeClass[E.Id] = It2.first->second;
     }
-    NumCompatClasses = static_cast<int>(CompatIds.size());
+    NumCompatClasses = NumCompat;
   }
 
   /// The latest slot in the (sorted ascending) intersection of candidate
@@ -522,10 +668,9 @@ private:
           if (canJoinGroup(G, Plan.Entries, E, S)) {
             G.Members.push_back(Id);
             E.GroupId = GId;
-            Plan.Decisions.push_back(
-                {DecisionKind::CombinedIntoGroup, Id, GId, S,
-                 strFormat("members=%d",
-                           static_cast<int>(G.Members.size()))});
+            Plan.Decisions.push_back(DecisionEvent::combinedIntoGroup(
+                Id, GId, S, DecisionReason::JoinedGroup,
+                static_cast<int>(G.Members.size())));
             Joined = true;
             break;
           }
@@ -539,8 +684,8 @@ private:
         G.M = E.M;
         G.Members = {Id};
         E.GroupId = G.Id;
-        Plan.Decisions.push_back(
-            {DecisionKind::CombinedIntoGroup, Id, G.Id, S, "opened group"});
+        Plan.Decisions.push_back(DecisionEvent::combinedIntoGroup(
+            Id, G.Id, S, DecisionReason::OpenedGroup));
         Plan.Groups.push_back(std::move(G));
         GroupsHere[CompatClass[Id]].push_back(Plan.Groups.back().Id);
       }
@@ -559,9 +704,9 @@ private:
         int GId = Plan.Entries[Leader].GroupId;
         Plan.Groups[GId].Attached.push_back(E.Id);
         E.GroupId = GId;
-        Plan.Decisions.push_back({DecisionKind::CombinedIntoGroup, E.Id, GId,
-                                  Plan.Groups[GId].Placement,
-                                  "attached via subsumer"});
+        Plan.Decisions.push_back(DecisionEvent::combinedIntoGroup(
+            E.Id, GId, Plan.Groups[GId].Placement,
+            DecisionReason::AttachedViaSubsumer));
       }
     }
   }
@@ -633,13 +778,10 @@ private:
       // widen the union to include them.
       for (int Id : G.Attached)
         addAsd(Plan.Entries[Id]);
-      Plan.Decisions.push_back(
-          {DecisionKind::GroupPlaced, -1, G.Id, G.Placement,
-           strFormat("kind=%s members=%d attached=%d data=%d",
-                     commKindName(G.Kind),
-                     static_cast<int>(G.Members.size()),
-                     static_cast<int>(G.Attached.size()),
-                     static_cast<int>(G.Data.size()))});
+      Plan.Decisions.push_back(DecisionEvent::groupPlaced(
+          G.Id, G.Placement, G.Kind, static_cast<int>(G.Members.size()),
+          static_cast<int>(G.Attached.size()),
+          static_cast<int>(G.Data.size())));
     }
   }
 
@@ -793,9 +935,8 @@ private:
             continue;
           C1.Eliminated = true;
           C1.SubsumedBy = C2.Id;
-          Plan.Decisions.push_back(
-              {DecisionKind::RedundancyEliminated, C1.Id, C2.Id, C1.Chosen,
-               "covered by dominating communication"});
+          Plan.Decisions.push_back(DecisionEvent::redundancyEliminated(
+              C1.Id, C2.Id, C1.Chosen, DecisionReason::CoveredByDominating));
           Progress = true;
           break;
         }
@@ -868,8 +1009,7 @@ private:
           if (Cur.difference(A1.D, Rem)) {
             C2.ReducedD = std::move(Rem);
             Plan.Decisions.push_back(
-                {DecisionKind::PartiallyReduced, C2.Id, C1.Id, C2.Chosen,
-                 "remainder-only send"});
+                DecisionEvent::partiallyReduced(C2.Id, C1.Id, C2.Chosen));
           }
         }
       }
@@ -959,11 +1099,8 @@ private:
             continue;
           for (int Id : Set1)
             Plan.Entries[Id].Candidates.removeValue(S1);
-          Plan.Decisions.push_back(
-              {DecisionKind::SubsetSlotCleared, -1, -1, S1,
-               strFormat("covered by %s; %d entries affected",
-                         slotStr(S2).c_str(),
-                         static_cast<int>(Set1.size()))});
+          Plan.Decisions.push_back(DecisionEvent::subsetSlotCleared(
+              S1, S2, static_cast<int>(Set1.size())));
           Cleared[U1] = 1;
           ++SlotsCleared;
           Progress = true;
@@ -1037,9 +1174,8 @@ private:
             if (Cand.empty()) {
               C1.Eliminated = true;
               C1.SubsumedBy = I2;
-              Plan.Decisions.push_back(
-                  {DecisionKind::RedundancyEliminated, I1, I2, S,
-                   "descriptor subsumed at common slot"});
+              Plan.Decisions.push_back(DecisionEvent::redundancyEliminated(
+                  I1, I2, S, DecisionReason::SubsumedAtCommonSlot));
               // The subsumer must be placeable inside the victim's safe
               // range, and inside the range of every entry the victim
               // stood in for: restrict it (S itself is always common).

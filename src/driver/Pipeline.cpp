@@ -137,7 +137,7 @@ static bool passBuildContext(Session &S) {
 /// Forwards a routine's placement decision log to the trace as instant
 /// events (category "decision"), one per DecisionEvent, in algorithm order.
 /// \p From skips events already traced by an earlier pass.
-static void traceDecisions(const std::string &Routine, const CommPlan &Plan,
+static void traceDecisions(const Routine &R, const CommPlan &Plan,
                            size_t From = 0) {
   TraceCollector &C = TraceCollector::instance();
   if (!C.enabled())
@@ -145,7 +145,7 @@ static void traceDecisions(const std::string &Routine, const CommPlan &Plan,
   for (size_t I = From; I != Plan.Decisions.size(); ++I) {
     const DecisionEvent &E = Plan.Decisions[I];
     std::vector<TraceArg> Args;
-    Args.emplace_back("routine", Routine);
+    Args.emplace_back("routine", R.name());
     if (E.EntryId >= 0)
       Args.emplace_back("entry", E.EntryId);
     if (E.OtherId >= 0)
@@ -153,8 +153,7 @@ static void traceDecisions(const std::string &Routine, const CommPlan &Plan,
     if (E.Where.isValid())
       Args.emplace_back("slot",
                         strFormat("(B%d,%d)", E.Where.Node, E.Where.Index));
-    if (!E.Detail.empty())
-      Args.emplace_back("detail", E.Detail);
+    Args.emplace_back("detail", decisionDetail(E, R));
     C.instant(decisionKindName(E.Kind), "decision", std::move(Args));
   }
 }
@@ -275,7 +274,7 @@ static bool passPlacement(Session &S) {
     RoutineResult &RR = S.Result.Routines[I];
     POpts.Stats = &Stats;
     RR.Plan = planCommunication(*RR.Ctx, POpts);
-    traceDecisions(RR.R->name(), RR.Plan);
+    traceDecisions(*RR.R, RR.Plan);
     return true;
   });
   verifyAfterPass(S, "placement");
@@ -297,7 +296,7 @@ static bool passLower(Session &S) {
     size_t DecisionsBefore = RR.Plan.Decisions.size();
     RR.Lowering =
         lowerPlan(*RR.Ctx, RR.Plan, *M, S.Opts.Placement.NumProcs, &Stats);
-    traceDecisions(RR.R->name(), RR.Plan, DecisionsBefore);
+    traceDecisions(*RR.R, RR.Plan, DecisionsBefore);
     return true;
   });
   verifyAfterPass(S, "lower");

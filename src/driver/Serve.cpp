@@ -270,7 +270,8 @@ std::string renderCompileOutput(const std::string &Name, const Session &S,
     D += R.planText();
   if (DumpDecisions)
     for (const RoutineResult &RR : R.Routines)
-      D += "-- decisions: " + RR.R->name() + " --\n" + RR.Plan.decisionsStr();
+      D += "-- decisions: " + RR.R->name() + " --\n" +
+           RR.Plan.decisionsStr(*RR.R);
   for (const auto &[Pass, Dump] : S.Dumps)
     D += "-- dump after " + Pass + " --\n" + Dump;
   if (!R.Diagnostics.empty())

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <tuple>
 
 using namespace gca;
 
@@ -100,6 +101,18 @@ PlanLowering gca::lowerPlan(const AnalysisContext &Ctx, CommPlan &Plan,
   L.Groups.resize(Plan.Groups.size());
   const std::vector<int64_t> Env(Ctx.R.loopVarNames().size(), 0);
 
+  // The selection depends only on a collective's shape: (op, ranks, bytes)
+  // for a standalone group, the per-direction bytes for an exchange run
+  // (the profile and the rank count are fixed within one call). Groups
+  // repeat a few shapes, so each shape is priced once.
+  struct Priced {
+    CollAlgo Algo = CollAlgo::Direct;
+    int Rounds = 0;
+    double Time = 0;
+  };
+  std::map<std::tuple<CollOp, int, double>, Priced> StandalonePrice;
+  std::map<std::vector<double>, Priced> ExchangePrice;
+
   // Mirror ScheduleBuilder's slot-internal firing order.
   std::map<Slot, std::vector<int>> BySlot;
   for (const CommGroup &G : Plan.Groups)
@@ -127,11 +140,16 @@ PlanLowering gca::lowerPlan(const AnalysisContext &Ctx, CommPlan &Plan,
         if (G.Kind == CommKind::Local) {
           // Nothing moves; keep a zero-cost direct "schedule".
           GL.Algo = CollAlgo::Direct;
-        } else if (std::optional<CollSelection> Sel =
-                       selectAlgorithm(GL.Op, GL.Procs, GL.Bytes, M)) {
-          GL.Algo = Sel->Algo;
-          GL.Rounds = Sel->Cost.Rounds;
-          GL.NominalTime = Sel->Cost.Time;
+        } else {
+          auto [It, New] =
+              StandalonePrice.try_emplace({GL.Op, GL.Procs, GL.Bytes});
+          if (New)
+            if (std::optional<CollSelection> Sel =
+                    selectAlgorithm(GL.Op, GL.Procs, GL.Bytes, M))
+              It->second = {Sel->Algo, Sel->Cost.Rounds, Sel->Cost.Time};
+          GL.Algo = It->second.Algo;
+          GL.Rounds = It->second.Rounds;
+          GL.NominalTime = It->second.Time;
         }
         ++I;
         continue;
@@ -165,16 +183,17 @@ PlanLowering gca::lowerPlan(const AnalysisContext &Ctx, CommPlan &Plan,
 
       // Price the fused posting against the sequential firing; ties go to
       // the fused form (candidate order).
-      CollAlgo Best = CollAlgo::Direct;
-      CollCost BestCost;
-      bool HaveBest = false;
-      for (CollAlgo A : candidateAlgos(CollOp::NeighborExchange)) {
-        CollSchedule S = exchangeSchedule(L.NumProcs, DirBytes, A);
-        CollCost C = scheduleTime(S, M, collOpPacked(S.Op));
-        if (!HaveBest || C.Time < BestCost.Time) {
-          Best = A;
-          BestCost = std::move(C);
-          HaveBest = true;
+      auto [It, New] = ExchangePrice.try_emplace(DirBytes);
+      Priced &Best = It->second;
+      if (New) {
+        bool HaveBest = false;
+        for (CollAlgo A : candidateAlgos(CollOp::NeighborExchange)) {
+          CollSchedule S = exchangeSchedule(L.NumProcs, DirBytes, A);
+          CollCost C = scheduleTime(S, M, collOpPacked(S.Op));
+          if (!HaveBest || C.Time < Best.Time) {
+            Best = {A, C.Rounds, C.Time};
+            HaveBest = true;
+          }
         }
       }
 
@@ -185,48 +204,54 @@ PlanLowering gca::lowerPlan(const AnalysisContext &Ctx, CommPlan &Plan,
         P.Placement = SlotKey;
         for (size_t K = I; K != End; ++K)
           P.GroupIds.push_back(Ids[K]);
-        P.Algo = Best;
+        P.Algo = Best.Algo;
         L.Phases.push_back(std::move(P));
       }
       for (size_t K = I; K != End; ++K) {
         GroupLowering &GL = L.Groups[static_cast<size_t>(Ids[K])];
         GL.GroupId = Ids[K];
         GL.Op = CollOp::NeighborExchange;
-        GL.Algo = Best;
+        GL.Algo = Best.Algo;
         GL.Procs = L.NumProcs;
         GL.Bytes = DirBytes[K - I];
-        GL.Rounds = BestCost.Rounds;
+        GL.Rounds = Best.Rounds;
         GL.Phase = PhaseId;
         GL.PhaseLead = K == I;
-        GL.NominalTime = K == I ? BestCost.Time : 0;
+        GL.NominalTime = K == I ? Best.Time : 0;
       }
       I = End;
     }
   }
 
-  // Record the choices, in group-id order, and the counter family.
+  // Record the choices, in group-id order, and tally the counter family
+  // per (op, algo).
+  std::map<std::pair<CollOp, CollAlgo>, int64_t> Tally;
   for (const CommGroup &G : Plan.Groups) {
     const GroupLowering &GL = L.Groups[static_cast<size_t>(G.Id)];
-    std::string Detail = strFormat(
-        "%s/%s procs=%d bytes=%lld rounds=%d", collOpName(GL.Op),
-        collAlgoName(GL.Algo), GL.Procs,
-        static_cast<long long>(std::llround(GL.Bytes)), GL.Rounds);
-    if (GL.Phase >= 0)
-      Detail += strFormat(" fused=%d",
-                          static_cast<int>(
-                              L.Phases[static_cast<size_t>(GL.Phase)]
-                                  .GroupIds.size()));
-    Plan.Decisions.push_back(
-        {DecisionKind::LoweredAs, -1, G.Id, G.Placement, std::move(Detail)});
-    if (Stats) {
-      Stats->add("lower.collective.groups");
-      Stats->add(strFormat("lower.collective.op.%s", collOpName(GL.Op)));
-      Stats->add(strFormat("lower.collective.algo.%s",
-                           collAlgoName(GL.Algo)));
-    }
+    int Fused =
+        GL.Phase >= 0
+            ? static_cast<int>(
+                  L.Phases[static_cast<size_t>(GL.Phase)].GroupIds.size())
+            : 0;
+    Plan.Decisions.push_back(DecisionEvent::loweredAs(
+        G.Id, G.Placement, collOpName(GL.Op), collAlgoName(GL.Algo),
+        GL.Procs, std::llround(GL.Bytes), GL.Rounds, Fused));
+    ++Tally[{GL.Op, GL.Algo}];
   }
-  if (Stats && !L.Phases.empty())
-    Stats->add("lower.collective.fused-phases",
-               static_cast<int64_t>(L.Phases.size()));
+  if (Stats) {
+    if (!Plan.Groups.empty())
+      Stats->add("lower.collective.groups",
+                 static_cast<int64_t>(Plan.Groups.size()));
+    for (const auto &[Shape, N] : Tally) {
+      Stats->add(std::string("lower.collective.op.") + collOpName(Shape.first),
+                 N);
+      Stats->add(std::string("lower.collective.algo.") +
+                     collAlgoName(Shape.second),
+                 N);
+    }
+    if (!L.Phases.empty())
+      Stats->add("lower.collective.fused-phases",
+                 static_cast<int64_t>(L.Phases.size()));
+  }
   return L;
 }

@@ -20,9 +20,14 @@
 #include "runtime/Collective.h"
 #include "runtime/CostModel.h"
 #include "runtime/Simulate.h"
+#include "support/Stats.h"
+#include "workloads/Synth.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
 
 using namespace gca;
 
@@ -248,6 +253,145 @@ TEST(Lowering, EveryGroupGetsExactlyOneDecision) {
             << W->Name << " group " << G.Id;
     }
   }
+}
+
+namespace {
+
+/// The selection lowerPlan must reach for one group, priced directly:
+/// selectAlgorithm for a standalone collective, every exchange algorithm
+/// over the phase's per-direction bytes for a shift run (the time of the
+/// whole run).
+struct DirectPrice {
+  CollAlgo Algo = CollAlgo::Direct;
+  int Rounds = 0;
+  double Time = 0;
+};
+
+DirectPrice priceDirectly(const CommGroup &G, const PlanLowering &L,
+                          const MachineProfile &M) {
+  const GroupLowering &GL = *L.group(G.Id);
+  DirectPrice P;
+  if (G.Kind == CommKind::Local)
+    return P;
+  if (G.Kind != CommKind::Shift) {
+    if (std::optional<CollSelection> Sel =
+            selectAlgorithm(GL.Op, GL.Procs, GL.Bytes, M))
+      P = {Sel->Algo, Sel->Cost.Rounds, Sel->Cost.Time};
+    return P;
+  }
+  std::vector<double> DirBytes;
+  if (GL.Phase < 0)
+    DirBytes.push_back(GL.Bytes);
+  else
+    for (int Id : L.Phases[static_cast<size_t>(GL.Phase)].GroupIds)
+      DirBytes.push_back(L.group(Id)->Bytes);
+  bool Have = false;
+  for (CollAlgo A : candidateAlgos(CollOp::NeighborExchange)) {
+    CollSchedule S = exchangeSchedule(L.NumProcs, DirBytes, A);
+    CollCost C = scheduleTime(S, M, collOpPacked(S.Op));
+    if (!Have || C.Time < P.Time) {
+      P = {A, C.Rounds, C.Time};
+      Have = true;
+    }
+  }
+  return P;
+}
+
+/// Places \p Source once, lowers each routine's plan for every machine
+/// profile, and checks every group's lowering against direct pricing and
+/// each call's lower.collective.* counters against its groups.
+void expectLoweringPricedDirectly(const std::string &Name,
+                                  const std::string &Source, Strategy Strat) {
+  SCOPED_TRACE(Name + " " + strategyName(Strat));
+  CompileOptions Opts;
+  Opts.Placement.Strat = Strat;
+  Opts.Audit = false;
+  Opts.Verify = VerifyMode::Off;
+  CompileResult R = compileSource(Source, Opts);
+  ASSERT_TRUE(R.Ok) << R.Errors;
+  for (const char *Machine : {"sp2", "now", "fattree", "gpu"}) {
+    std::optional<MachineProfile> M = MachineProfile::byName(Machine);
+    ASSERT_TRUE(M);
+    for (const RoutineResult &RR : R.Routines) {
+      SCOPED_TRACE(std::string(Machine) + " " + RR.R->name());
+      CommPlan Plan = RR.Plan;
+      StatsRegistry Stats;
+      PlanLowering L = lowerPlan(*RR.Ctx, Plan, *M, Opts.Placement.NumProcs,
+                                 &Stats);
+      // Members of one fused phase share its price: compute it once per
+      // phase (not per shape, which is what lowerPlan's memo keys by).
+      std::map<int, DirectPrice> PhasePrice;
+      std::map<std::string, int64_t> Expected;
+      for (const CommGroup &G : Plan.Groups) {
+        const GroupLowering &GL = *L.group(G.Id);
+        DirectPrice P;
+        if (GL.Phase < 0) {
+          P = priceDirectly(G, L, *M);
+        } else {
+          auto [It, New] = PhasePrice.try_emplace(GL.Phase);
+          if (New)
+            It->second = priceDirectly(G, L, *M);
+          P = It->second;
+          P.Time = GL.PhaseLead ? P.Time : 0; // The lead carries the cost.
+          const LoweringPhase &Ph = L.Phases[static_cast<size_t>(GL.Phase)];
+          ASSERT_GE(Ph.GroupIds.size(), 2u);
+          EXPECT_EQ(Ph.Algo, GL.Algo);
+          EXPECT_EQ(GL.PhaseLead, Ph.GroupIds.front() == G.Id);
+          EXPECT_NE(std::find(Ph.GroupIds.begin(), Ph.GroupIds.end(), G.Id),
+                    Ph.GroupIds.end());
+        }
+        EXPECT_EQ(GL.Algo, P.Algo) << "group " << G.Id;
+        EXPECT_EQ(GL.Rounds, P.Rounds) << "group " << G.Id;
+        EXPECT_EQ(GL.NominalTime, P.Time) << "group " << G.Id;
+        ++Expected["lower.collective.groups"];
+        ++Expected[std::string("lower.collective.op.") + collOpName(GL.Op)];
+        ++Expected[std::string("lower.collective.algo.") +
+                   collAlgoName(GL.Algo)];
+      }
+      if (!L.Phases.empty())
+        Expected["lower.collective.fused-phases"] =
+            static_cast<int64_t>(L.Phases.size());
+      EXPECT_EQ(Stats.snapshot(), Expected);
+    }
+  }
+}
+
+} // namespace
+
+// lowerPlan prices each collective shape once per call; every group's
+// selection must equal pricing its own shape from scratch.
+TEST(Lowering, MemoizedPricingEqualsDirectPricing) {
+  // Two all-to-all groups of one rank count and different sizes: a memo
+  // that ignored the payload would price the second like the first.
+  const std::string Sizes = "program sizes\n"
+                            "param n = 64\n"
+                            "real a(n,n) distribute (block,block)\n"
+                            "real b(n,n) distribute (block,block)\n"
+                            "real c(n,n) distribute (block,block)\n"
+                            "begin\n"
+                            "do i = 1, n\n"
+                            "  do j = 1, n\n"
+                            "    a(i,j) = b(1,j) + b(j,i)\n"
+                            "  end do\n"
+                            "end do\n"
+                            "do i = 1, n\n"
+                            "  do j = 1, 8\n"
+                            "    a(i,j) = c(1,j) + c(j,i)\n"
+                            "  end do\n"
+                            "end do\n"
+                            "end\n";
+  for (Strategy Strat : {Strategy::Orig, Strategy::Earliest, Strategy::Global,
+                         Strategy::Optimal, Strategy::EarliestCombine}) {
+    for (const Workload *W : allWorkloads())
+      expectLoweringPricedDirectly(W->Name, W->Source, Strat);
+    expectLoweringPricedDirectly("sizes", Sizes, Strat);
+  }
+  SynthSpec N400;
+  N400.Nests = 400;
+  expectLoweringPricedDirectly("synth n400", synthSource(N400),
+                               Strategy::Global);
+  expectLoweringPricedDirectly("8x150 file", synthRoutinesSource(8, 150, 1),
+                               Strategy::Global);
 }
 
 TEST(Lowering, ClassifierMapsKindsToOps) {

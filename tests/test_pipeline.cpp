@@ -35,7 +35,7 @@ std::string fingerprint(const std::string &Source,
   std::string Out = R.Errors + R.Diagnostics;
   for (const RoutineResult &RR : R.Routines) {
     Out += RR.Plan.str(*RR.R);
-    Out += RR.Plan.decisionsStr();
+    Out += RR.Plan.decisionsStr(*RR.R);
     Out += RR.Plan.Stats.str();
   }
   Out += S.Stats.json();

@@ -463,7 +463,7 @@ std::string planFingerprint(const AnalysisContext &Ctx, const Routine &R,
   PlacementOptions O = Opts;
   O.Stats = &Stats;
   CommPlan Plan = planCommunication(Ctx, O);
-  return Plan.str(R) + Plan.decisionsStr() + Plan.Stats.str() + Stats.json();
+  return Plan.str(R) + Plan.decisionsStr(R) + Plan.Stats.str() + Stats.json();
 }
 
 } // namespace
