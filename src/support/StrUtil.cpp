@@ -52,10 +52,15 @@ std::string gca::trim(const std::string &S) {
   return S.substr(B, E - B);
 }
 
-std::string gca::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
+void gca::jsonEscapeInto(std::string &Out, std::string_view S) {
+  static const char Hex[] = "0123456789abcdef";
+  size_t Run = 0; // Start of the pending run of plain bytes.
+  for (size_t I = 0, E = S.size(); I != E; ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -72,13 +77,19 @@ std::string gca::jsonEscape(const std::string &S) {
     case '\r':
       Out += "\\r";
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += strFormat("\\u%04x", C);
-      else
-        Out += C;
+    default: {
+      const char U[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xf]};
+      Out.append(U, sizeof(U));
+    }
     }
   }
+  Out.append(S.data() + Run, S.size() - Run);
+}
+
+std::string gca::jsonEscape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size());
+  jsonEscapeInto(Out, S);
   return Out;
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdarg>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gca {
@@ -37,6 +38,9 @@ std::string trim(const std::string &S);
 /// Escapes \p S for embedding inside a JSON string literal (quotes,
 /// backslashes, control characters).
 std::string jsonEscape(const std::string &S);
+
+/// jsonEscape appended to \p Out: runs of plain bytes are copied whole.
+void jsonEscapeInto(std::string &Out, std::string_view S);
 
 /// Renders a byte count in a human-friendly form ("512 B", "20.0 KB", ...).
 std::string formatBytes(double Bytes);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <random>
 
 using namespace gca;
 
@@ -316,4 +317,38 @@ TEST(JsonValueTest, RoundTripsThroughWriter) {
   EXPECT_EQ(V.get("n")->intValue(), -123);
   EXPECT_TRUE(V.get("flag")->boolValue());
   EXPECT_EQ(V.get("xs")->array()[1].stringValue(), "two");
+
+  // Hostile strings and seeded random byte strings survive as keys and as
+  // values: escapes at the first and last byte of a long run, every
+  // control byte, DEL and multi-byte UTF-8.
+  std::string Controls;
+  for (int C = 0; C != 0x20; ++C)
+    Controls += static_cast<char>(C);
+  std::vector<std::string> Inputs = {
+      "",
+      "\"" + std::string(1000, 'x') + "\\",
+      Controls,
+      "a\x7f" + Controls + "z",
+      "caf\xc3\xa9 \xe2\x82\xac \xf0\x9d\x84\x9e\"",
+  };
+  std::mt19937 Rng(17);
+  for (int I = 0; I != 200; ++I) {
+    std::string S(Rng() % 300, '\0');
+    for (char &C : S)
+      C = static_cast<char>(Rng() & 0xff);
+    Inputs.push_back(std::move(S));
+  }
+  JsonWriter RW;
+  RW.beginArray();
+  for (const std::string &S : Inputs)
+    RW.beginObject().key(S).value(S).endObject();
+  RW.endArray();
+  JsonValue RV = parseOk(RW.str());
+  ASSERT_EQ(RV.array().size(), Inputs.size());
+  for (size_t I = 0; I != Inputs.size(); ++I) {
+    const auto &Members = RV.array()[I].members();
+    ASSERT_EQ(Members.size(), 1u) << I;
+    EXPECT_EQ(Members[0].first, Inputs[I]) << I;
+    EXPECT_EQ(Members[0].second.stringValue(), Inputs[I]) << I;
+  }
 }
