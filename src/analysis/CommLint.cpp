@@ -297,11 +297,15 @@ private:
         else if (E.UseStmt)
           Loc = E.UseStmt->loc();
       }
-      warn(Loc, strFormat("communication for '%s' is partially dead: some "
-                          "path from its placement reaches the routine exit "
-                          "without reading the data; consider sinking it "
-                          "into the branch that uses it [dead-comm]",
-                          Array.c_str()));
+      // Name the group, its direction and its slot: sibling axis phases of
+      // one diagonal reference share the array and the use.
+      warn(Loc, strFormat("communication for '%s' (group %d, %s at (B%d,%d)) "
+                          "is partially dead: some path from its placement "
+                          "reaches the routine exit without reading the "
+                          "data; consider sinking it into the branch that "
+                          "uses it [dead-comm]",
+                          Array.c_str(), G.Id, G.M.str().c_str(),
+                          G.Placement.Node, G.Placement.Index));
     }
   }
 

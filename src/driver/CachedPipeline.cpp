@@ -14,7 +14,7 @@
 
 using namespace gca;
 
-const char *const gca::kGcaCacheVersion = "gcomm-cache-5";
+const char *const gca::kGcaCacheVersion = "gcomm-cache-6";
 
 std::string gca::optionsFingerprint(const CompileOptions &Opts) {
   const PlacementOptions &P = Opts.Placement;

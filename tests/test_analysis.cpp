@@ -251,10 +251,40 @@ TEST(CommLint, DeadCommWarns) {
                          "  end if\n"
                          "end do\n"
                          "end\n");
-  EXPECT_EQ(Out, "warning: 9:16: communication for 'b' is partially dead: "
-                 "some path from its placement reaches the routine exit "
-                 "without reading the data; consider sinking it into the "
-                 "branch that uses it [dead-comm]\n");
+  EXPECT_EQ(Out, "warning: 9:16: communication for 'b' (group 0, NNC[-1,0] "
+                 "at (B1,0)) is partially dead: some path from its placement "
+                 "reaches the routine exit without reading the data; "
+                 "consider sinking it into the branch that uses it "
+                 "[dead-comm]\n");
+}
+
+TEST(CommLint, DeadCommNamesEachGroup) {
+  // A diagonal reference decomposes into two axis phases: two groups of one
+  // array at one use. Each warning names its own group and direction, so
+  // the two lines differ.
+  std::string Out = lint("program p\n"
+                         "param n = 8\n"
+                         "real a(n,n) distribute (block,block)\n"
+                         "real b(n,n) distribute (block,block)\n"
+                         "begin\n"
+                         "do i = 2, n\n"
+                         "  if (c) then\n"
+                         "    do j = 2, n\n"
+                         "      a(i,j) = b(i-1,j-1)\n"
+                         "    end do\n"
+                         "  end if\n"
+                         "end do\n"
+                         "end\n");
+  const std::string Tail =
+      " is partially dead: some path from its placement reaches the routine "
+      "exit without reading the data; consider sinking it into the branch "
+      "that uses it [dead-comm]\n";
+  EXPECT_EQ(Out, "warning: 9:16: communication for 'b' (group 0, NNC[-1,0] "
+                 "at (B1,0))" +
+                     Tail +
+                     "warning: 9:16: communication for 'b' (group 1, "
+                     "NNC[0,-1] at (B1,0))" +
+                     Tail);
 }
 
 TEST(CommLint, DeadCommNegative) {
