@@ -7,17 +7,14 @@
 #      (--verify=each) over examples/ and the built-in workloads, plus the
 #      fuzz shards (which use the verifier as their plan oracle);
 #   3. ASan/UBSan build + the whole suite;
-#   4. TSan build of the parallel batch driver, verifying that an 8-way
-#      compile of every built-in workload is race-free and bitwise equal to
-#      a serial run, that intra-compilation parallel placement
-#      (--placement-jobs=8) is race-free over the examples and a fuzz
-#      shard, that the shared result cache is race-free and single-flight
-#      under 8-way duplicated inputs, that the trace collector's
-#      lock-free per-thread lanes are race-free under an 8-way traced
-#      batch compile, and that the compile server is race-free under an
-#      8-client gca-load mix — with the HTTP admin plane scraped
-#      continuously from a background thread for the whole run — followed
-#      by a SIGTERM drain.
+#   4. TSan build, verifying that an 8-way batch compile of every built-in
+#      workload is race-free and bitwise equal to a serial run, that the
+#      shared result cache is race-free and single-flight under 8-way
+#      duplicated inputs, that the trace collector's lock-free per-thread
+#      lanes are race-free under an 8-way traced batch compile, and that
+#      the compile server is race-free under an 8-client gca-load mix —
+#      with the HTTP admin plane scraped continuously from a background
+#      thread for the whole run — followed by a SIGTERM drain.
 # Usage: scripts/check.sh [extra cmake args...]
 set -euo pipefail
 
@@ -56,19 +53,6 @@ cmake -B build-tsan -S . -DGCA_SANITIZE="thread" "$@"
 cmake --build build-tsan -j "$JOBS" --target gca-compile
 build-tsan/tools/gca-compile --workloads --jobs 8 --stats --audit --lint \
   --verify-determinism > /dev/null
-
-echo "== thread sanitizer run (parallel placement, --placement-jobs=8) =="
-# Intra-compilation parallelism: the placement and audit phases fan
-# per-entry work across a session-owned pool. Examples plus the built-in
-# workloads and a synthetic routine set run with 8 placement jobs under
-# TSan; a fuzz shard re-runs with the pool active via GCA_FUZZ_PLACEMENT_JOBS.
-build-tsan/tools/gca-compile --workloads examples/*.hpf --audit --lint \
-  --stats --placement-jobs=8 > /dev/null
-build-tsan/tools/gca-compile --synth=400 --synth-seed=1 --repeat=2 \
-  --strategy=comb --audit --stats --placement-jobs=8 > /dev/null
-cmake --build build-tsan -j "$JOBS" --target gca_fuzz_tests
-GCA_FUZZ_PLACEMENT_JOBS=8 ctest --test-dir build-tsan -L 'fuzz-shard0$' \
-  --output-on-failure -j "$JOBS"
 
 echo "== thread sanitizer run (shared result cache, single-flight) =="
 # Eight copies of the same input race for one cache key: under single-flight

@@ -10,7 +10,6 @@
 #include "core/Detect.h"
 #include "support/Stats.h"
 #include "support/StrUtil.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cstdlib>
@@ -100,65 +99,30 @@ public:
     }
 
     checkStructure();
-
-    // The per-entry and per-group rule checks are independent and read-only
-    // (shared precomputed tables, const context), so they fan out across the
-    // placement pool. Each check appends its violations to a per-item list;
-    // emission — the diagnostics and the report — happens serially in item
-    // order afterwards, so every job count produces the identical report
-    // and diagnostic stream.
-    const int NE = static_cast<int>(Plan.Entries.size());
-    std::vector<std::vector<AuditViolation>> PerEntry(NE);
-    runChunked(Opts.Pool, NE, parallelChunkCount(Opts.Pool, Opts.Jobs, NE),
-               [&](int Begin, int End, int) {
-                 DepDirs Dirs; // Per-chunk subscript-solve scratch.
-                 for (int I = Begin; I < End; ++I) {
-                   const CommEntry &E = Plan.Entries[I];
-                   std::vector<AuditViolation> &Out = PerEntry[I];
-                   const CommGroup *G = servingGroup(E, Out);
-                   if (!G)
-                     continue; // Reported by structure / availability.
-                   checkPlacementRange(E, *G, Out);
-                   checkInterveningDefs(E, *G, Dirs, Out);
-                   checkCoverage(E, *G, Out);
-                 }
-               });
-    for (std::vector<AuditViolation> &V : PerEntry)
-      emitAll(std::move(V));
-
-    const int NG = static_cast<int>(Plan.Groups.size());
-    std::vector<std::vector<AuditViolation>> PerGroup(NG);
-    runChunked(Opts.Pool, NG, parallelChunkCount(Opts.Pool, Opts.Jobs, NG),
-               [&](int Begin, int End, int) {
-                 for (int I = Begin; I < End; ++I)
-                   checkCombining(Plan.Groups[I], PerGroup[I]);
-               });
-    for (std::vector<AuditViolation> &V : PerGroup)
-      emitAll(std::move(V));
+    DepDirs Dirs; // Subscript-solve scratch, reused across entries.
+    for (const CommEntry &E : Plan.Entries) {
+      const CommGroup *G = servingGroup(E);
+      if (!G)
+        continue; // Reported by structure / availability.
+      checkPlacementRange(E, *G);
+      checkInterveningDefs(E, *G, Dirs);
+      checkCoverage(E, *G);
+    }
+    for (const CommGroup &G : Plan.Groups)
+      checkCombining(G);
     return std::move(Report);
   }
 
 private:
   // --- Reporting ------------------------------------------------------------
 
-  /// Records a violation into \p Out. Collection is side-effect free so the
-  /// rule checks can run on worker threads; emitAll() later renders the
-  /// diagnostics and fills the report, serially and in deterministic order.
-  static void violate(std::vector<AuditViolation> &Out, AuditRule Rule,
-                      int EntryId, int GroupId, SourceLoc Loc,
-                      std::string Msg) {
-    Out.push_back({Rule, EntryId, GroupId, Loc, std::move(Msg)});
-  }
-
-  /// Serial emission: the diagnostic stream and the report see violations in
-  /// the same order the serial auditor produced them.
-  void emitAll(std::vector<AuditViolation> &&Violations) {
-    for (AuditViolation &V : Violations) {
-      if (Diags)
-        Diags->error(V.Loc, "plan audit [%s]: %s", auditRuleName(V.Rule),
-                     V.Message.c_str());
-      Report.Violations.push_back(std::move(V));
-    }
+  /// Emits the diagnostic and records the violation in the report.
+  void violate(AuditRule Rule, int EntryId, int GroupId, SourceLoc Loc,
+               std::string Msg) {
+    if (Diags)
+      Diags->error(Loc, "plan audit [%s]: %s", auditRuleName(Rule),
+                   Msg.c_str());
+    Report.Violations.push_back({Rule, EntryId, GroupId, Loc, std::move(Msg)});
   }
 
   SourceLoc locOf(const CommEntry &E) const {
@@ -223,11 +187,9 @@ private:
   /// The group that serves entry \p E's communication (its own group, or the
   /// group its SubsumedBy chain was attached to). Null, with a violation
   /// recorded, when the entry resolves nowhere.
-  const CommGroup *servingGroup(const CommEntry &E,
-                                std::vector<AuditViolation> &Out) const {
+  const CommGroup *servingGroup(const CommEntry &E) {
     if (E.GroupId < 0 || E.GroupId >= static_cast<int>(Plan.Groups.size())) {
-      violate(Out,
-              E.Eliminated ? AuditRule::RedundancyAvail
+      violate(E.Eliminated ? AuditRule::RedundancyAvail
                            : AuditRule::Structure,
               E.Id, E.GroupId, locOf(E),
               strFormat("entry %d (array '%s') is served by no group",
@@ -240,17 +202,16 @@ private:
   // --- Structure ------------------------------------------------------------
 
   void checkStructure() {
-    std::vector<AuditViolation> Out;
     std::vector<int> MemberOf(Plan.Entries.size(), -1);
     for (const CommGroup &G : Plan.Groups) {
       if (G.Id != static_cast<int>(&G - Plan.Groups.data()))
-        violate(Out, AuditRule::Structure, -1, G.Id, SourceLoc(),
+        violate(AuditRule::Structure, -1, G.Id, SourceLoc(),
                 strFormat("group id %d does not match its index", G.Id));
       if (G.Members.empty())
-        violate(Out, AuditRule::Structure, -1, G.Id, SourceLoc(),
+        violate(AuditRule::Structure, -1, G.Id, SourceLoc(),
                 strFormat("group %d has no members", G.Id));
       if (G.Data.size() != G.DataAug.size())
-        violate(Out, AuditRule::Structure, -1, G.Id, SourceLoc(),
+        violate(AuditRule::Structure, -1, G.Id, SourceLoc(),
                 strFormat("group %d has %d data descriptors but %d "
                           "augmentation records",
                           G.Id, static_cast<int>(G.Data.size()),
@@ -258,22 +219,22 @@ private:
       for (int Id : G.Members) {
         const CommEntry &E = Plan.Entries[Id];
         if (E.Eliminated)
-          violate(Out, AuditRule::Structure, Id, G.Id, locOf(E),
+          violate(AuditRule::Structure, Id, G.Id, locOf(E),
                   strFormat("eliminated entry %d listed as a member of "
                             "group %d", Id, G.Id));
         if (E.GroupId != G.Id)
-          violate(Out, AuditRule::Structure, Id, G.Id, locOf(E),
+          violate(AuditRule::Structure, Id, G.Id, locOf(E),
                   strFormat("entry %d is a member of group %d but points at "
                             "group %d", Id, G.Id, E.GroupId));
         if (MemberOf[Id] >= 0)
-          violate(Out, AuditRule::Structure, Id, G.Id, locOf(E),
+          violate(AuditRule::Structure, Id, G.Id, locOf(E),
                   strFormat("entry %d is a member of both group %d and "
                             "group %d", Id, MemberOf[Id], G.Id));
         MemberOf[Id] = G.Id;
       }
       for (int Id : G.Attached)
         if (!Plan.Entries[Id].Eliminated)
-          violate(Out, AuditRule::Structure, Id, G.Id,
+          violate(AuditRule::Structure, Id, G.Id,
                   locOf(Plan.Entries[Id]),
                   strFormat("live entry %d attached to group %d", Id, G.Id));
     }
@@ -288,25 +249,23 @@ private:
              Seen.insert(Cur).second)
         Cur = Plan.Entries[Cur].SubsumedBy;
       if (Cur < 0 || Plan.Entries[Cur].Eliminated)
-        violate(Out, AuditRule::RedundancyAvail, E.Id, E.GroupId, locOf(E),
+        violate(AuditRule::RedundancyAvail, E.Id, E.GroupId, locOf(E),
                 strFormat("eliminated entry %d has no live subsumer "
                           "(SubsumedBy chain %s)",
                           E.Id, E.SubsumedBy < 0 ? "unset" : "cyclic"));
     }
-    emitAll(std::move(Out));
   }
 
   // --- Family 1: placement range / dominance ---------------------------------
 
-  void checkPlacementRange(const CommEntry &E, const CommGroup &G,
-                           std::vector<AuditViolation> &Out) const {
+  void checkPlacementRange(const CommEntry &E, const CommGroup &G) {
     const Slot &P = G.Placement;
     // Earliest(u) must dominate the placement: data the communication ships
     // is complete there (Claim 4.1). For reductions Earliest is the slot
     // after the partial-sum statement (Section 6.2), so this also enforces
     // the inverted ordering.
     if (!Ctx.DT.slotDominates(E.EarliestSlot, P))
-      violate(Out, AuditRule::PlacementRange, E.Id, G.Id, locOf(E),
+      violate(AuditRule::PlacementRange, E.Id, G.Id, locOf(E),
               strFormat("communication for '%s' placed at %s, before "
                         "Earliest %s",
                         arrayName(E.ArrayId).c_str(), slotStr(P).c_str(),
@@ -314,7 +273,7 @@ private:
     // The placement must not fall past Latest(u) either: groups move to the
     // latest position *common* to their members (Section 4.7).
     if (!Ctx.DT.slotDominates(P, E.LatestSlot))
-      violate(Out, AuditRule::PlacementRange, E.Id, G.Id, locOf(E),
+      violate(AuditRule::PlacementRange, E.Id, G.Id, locOf(E),
               strFormat("communication for '%s' placed at %s, past Latest "
                         "%s",
                         arrayName(E.ArrayId).c_str(), slotStr(P).c_str(),
@@ -322,8 +281,7 @@ private:
     // Every use must be dominated: the data must be available on all paths.
     if (E.M.Kind != CommKind::Reduce &&
         !Ctx.slotDominatesUse(P, E.UseStmt))
-      violate(Out,
-              E.Eliminated ? AuditRule::RedundancyAvail
+      violate(E.Eliminated ? AuditRule::RedundancyAvail
                            : AuditRule::PlacementRange,
               E.Id, G.Id, locOf(E),
               strFormat("communication for '%s' placed at %s does not "
@@ -334,8 +292,7 @@ private:
   // --- Family 2: intervening definitions -------------------------------------
 
   void checkInterveningDefs(const CommEntry &E, const CommGroup &G,
-                            DepDirs &Dirs,
-                            std::vector<AuditViolation> &Out) const {
+                            DepDirs &DD) {
     if (E.M.Kind == CommKind::Reduce)
       return; // Reductions consume partial sums computed at their statement.
     const Slot &P = G.Placement;
@@ -367,7 +324,6 @@ private:
       for (const ArrayRef &Ref : E.Refs) {
         // One subscript solve per (def, ref); the loop-independent and
         // per-level carried predicates both derive from the summary.
-        DepDirs &DD = Dirs;
         Ctx.Dep.flowDirections(D, E.UseStmt, Ref, DD);
         // (a) Same-iteration staleness: a definition with a feasible
         // loop-independent flow dependence to the use that can execute
@@ -375,7 +331,7 @@ private:
         if (DepTester::loopIndependentFromDirs(DD) &&
             !onDisjointBranches(D, E.UseStmt) &&
             Ctx.DT.slotDominates(P, Ctx.G.slotBefore(D))) {
-          violate(Out, AuditRule::InterveningDef, E.Id, G.Id, locOf(E),
+          violate(AuditRule::InterveningDef, E.Id, G.Id, locOf(E),
                   strFormat("definition of '%s' at %s executes between the "
                             "communication at %s and its use",
                             arrayName(E.ArrayId).c_str(),
@@ -394,7 +350,7 @@ private:
           if (static_cast<int>(UseNest.size()) < L ||
               Ctx.G.enclosingLoopAtLevel(P.Node, L) != UseNest[L - 1]) {
             const CfgLoop &Loop = Ctx.G.loop(UseNest[L - 1]);
-            violate(Out, AuditRule::InterveningDef, E.Id, G.Id, locOf(E),
+            violate(AuditRule::InterveningDef, E.Id, G.Id, locOf(E),
                     strFormat("communication for '%s' at %s sits outside "
                               "the level-%d loop '%s' that carries a true "
                               "dependence from the definition at %s",
@@ -414,8 +370,7 @@ private:
 
   // --- Family 3: data coverage -----------------------------------------------
 
-  void checkCoverage(const CommEntry &E, const CommGroup &G,
-                     std::vector<AuditViolation> &Out) const {
+  void checkCoverage(const CommEntry &E, const CommGroup &G) {
     int Level = Ctx.slotLevel(G.Placement);
     Asd A = asdOfEntry(Ctx, E, Level);
     const RegSection &Needed = E.ReducedD ? *E.ReducedD : A.D;
@@ -429,7 +384,7 @@ private:
         continue;
       return; // Covered.
     }
-    violate(Out, AuditRule::SubsetCoverage, E.Id, G.Id, locOf(E),
+    violate(AuditRule::SubsetCoverage, E.Id, G.Id, locOf(E),
             strFormat("section %s of '%s' required by entry %d is not "
                       "covered by group %d's descriptors",
                       Needed.str(&Ctx.R.loopVarNames()).c_str(),
@@ -438,19 +393,18 @@ private:
 
   // --- Family 5: combining legality -------------------------------------------
 
-  void checkCombining(const CommGroup &G,
-                      std::vector<AuditViolation> &Out) const {
+  void checkCombining(const CommGroup &G) {
     int Level = Ctx.slotLevel(G.Placement);
     int64_t Bytes = 0;
     int Payloads = 0;
     auto checkMapping = [&](const CommEntry &E) {
       if (E.M.Kind != G.Kind)
-        violate(Out, AuditRule::CombineLegality, E.Id, G.Id, locOf(E),
+        violate(AuditRule::CombineLegality, E.Id, G.Id, locOf(E),
                 strFormat("entry %d (%s) combined into a %s group",
                           E.Id, commKindName(E.M.Kind),
                           commKindName(G.Kind)));
       else if (!E.M.compatibleWith(G.M))
-        violate(Out, AuditRule::CombineLegality, E.Id, G.Id, locOf(E),
+        violate(AuditRule::CombineLegality, E.Id, G.Id, locOf(E),
                 strFormat("entry %d's mapping %s is incompatible with "
                           "group %d's %s",
                           E.Id, E.M.str().c_str(), G.Id, G.M.str().c_str()));
@@ -459,7 +413,7 @@ private:
       for (unsigned K = 0; K < E.M.Offsets.size() && K < G.M.Offsets.size();
            ++K)
         if (std::llabs(E.M.Offsets[K]) > std::llabs(G.M.Offsets[K]))
-          violate(Out, AuditRule::CombineLegality, E.Id, G.Id, locOf(E),
+          violate(AuditRule::CombineLegality, E.Id, G.Id, locOf(E),
                   strFormat("group %d's shift reaches %lld along template "
                             "dim %u but entry %d needs %lld",
                             G.Id,
@@ -473,7 +427,7 @@ private:
       // placement range (Section 4.7's latest-common-position rule).
       if (!std::binary_search(OrigCandIds[Id].begin(), OrigCandIds[Id].end(),
                               Ctx.G.slotId(G.Placement)))
-        violate(Out, AuditRule::CombineLegality, Id, G.Id, locOf(E),
+        violate(AuditRule::CombineLegality, Id, G.Id, locOf(E),
                 strFormat("group %d placed at %s, which is not a legal "
                           "placement point of member entry %d",
                           G.Id, slotStr(G.Placement).c_str(), Id));
@@ -488,7 +442,7 @@ private:
     // The combining size threshold gates *combined* messages only; a lone
     // oversized message is legal (there is nothing to split).
     if (Payloads >= 2 && Bytes > Opts.CombineThresholdBytes)
-      violate(Out, AuditRule::CombineLegality, -1, G.Id,
+      violate(AuditRule::CombineLegality, -1, G.Id,
               G.Members.empty() ? SourceLoc()
                                 : locOf(Plan.Entries[G.Members[0]]),
               strFormat("group %d combines %lld bytes per processor, over "

@@ -28,7 +28,6 @@
 #include "cfg/Cfg.h"
 
 #include <cstdint>
-#include <atomic>
 #include <vector>
 
 namespace gca {
@@ -56,7 +55,7 @@ public:
   /// Reflexive node dominance: two integer compares on the DFS intervals.
   /// Unreachable nodes dominate (and are dominated by) only themselves.
   bool dominates(int A, int B) const {
-    Queries.fetch_add(1, std::memory_order_relaxed);
+    ++Queries;
     if (A == B)
       return true;
     return DfsIn[A] >= 0 && DfsIn[B] >= 0 && DfsIn[A] < DfsIn[B] &&
@@ -86,12 +85,9 @@ public:
   }
 
   /// Dominance queries answered since construction — the `dom.queries`
-  /// counter. A relaxed atomic tally: the parallel placement and audit
-  /// phases query from many workers at once, and each entry's query count
-  /// is scheduling-independent, so the total stays exact at any job count.
-  uint64_t queryCount() const {
-    return Queries.load(std::memory_order_relaxed);
-  }
+  /// counter. A tree belongs to one compilation session, so no two threads
+  /// query it at once.
+  uint64_t queryCount() const { return Queries; }
 
   // --- Reference implementations (oracle-test support) -------------------
 
@@ -140,42 +136,7 @@ private:
   std::vector<int> DfsOut;
   /// Up[K][N] = the 2^K-th ancestor of N (entry saturates to itself).
   std::vector<std::vector<int>> Up;
-  /// Relaxed atomic: the parallel placement/audit phases query from many
-  /// workers, and the total is scheduling-independent (each entry issues a
-  /// fixed number of queries), so dom.queries stays exact at any job count.
-  mutable std::atomic<uint64_t> Queries{0};
-
-public:
-  // The atomic tally deletes the implicit copies; carry its value across
-  // (trees are only copied/moved during construction, never mid-query).
-  DomTree(const DomTree &O)
-      : IDom(O.IDom), Depth(O.Depth), Children(O.Children), DfsIn(O.DfsIn),
-        DfsOut(O.DfsOut), Up(O.Up), Queries(O.queryCount()) {}
-  DomTree(DomTree &&O) noexcept
-      : IDom(std::move(O.IDom)), Depth(std::move(O.Depth)),
-        Children(std::move(O.Children)), DfsIn(std::move(O.DfsIn)),
-        DfsOut(std::move(O.DfsOut)), Up(std::move(O.Up)),
-        Queries(O.queryCount()) {}
-  DomTree &operator=(const DomTree &O) {
-    IDom = O.IDom;
-    Depth = O.Depth;
-    Children = O.Children;
-    DfsIn = O.DfsIn;
-    DfsOut = O.DfsOut;
-    Up = O.Up;
-    Queries.store(O.queryCount(), std::memory_order_relaxed);
-    return *this;
-  }
-  DomTree &operator=(DomTree &&O) noexcept {
-    IDom = std::move(O.IDom);
-    Depth = std::move(O.Depth);
-    Children = std::move(O.Children);
-    DfsIn = std::move(O.DfsIn);
-    DfsOut = std::move(O.DfsOut);
-    Up = std::move(O.Up);
-    Queries.store(O.queryCount(), std::memory_order_relaxed);
-    return *this;
-  }
+  mutable uint64_t Queries = 0;
 };
 
 } // namespace gca

@@ -32,7 +32,6 @@
 namespace gca {
 
 class StatsRegistry;
-class ThreadPool;
 
 /// A fixed-capacity slot sequence carved out of its plan's arena (SoA slot
 /// storage: the Slot payloads of every entry live in a handful of arena
@@ -279,15 +278,6 @@ struct PlacementOptions {
   /// rules checked) here. Owned by the caller — typically the compilation
   /// Session — so concurrent compilations never share a registry.
   StatsRegistry *Stats = nullptr;
-  /// Worker threads for the per-entry analysis fan-out (placement) and the
-  /// per-entry/per-group rule checks (audit). 1 = fully serial. Results are
-  /// committed in entry order regardless of scheduling, so every job count
-  /// produces bitwise-identical plans, stats, and decision logs.
-  int Jobs = 1;
-  /// The pool the parallel phases run on when Jobs > 1. Owned by the caller
-  /// (the Session lazily builds one sized to Jobs). Null with Jobs > 1
-  /// degrades to serial.
-  ThreadPool *Pool = nullptr;
 };
 
 /// Static message statistics, per communication kind (the Figure 10 table).

@@ -69,8 +69,8 @@ struct DefDeps {
 
 /// Per-thread range-analysis state, reused across entries: the walk touches
 /// only a fraction of the def table per entry, so epoch tags beat full
-/// clears. thread_local because the batch driver compiles units
-/// concurrently and placement may fan entries across a pool.
+/// clears. thread_local because the batch driver and the server compile
+/// units concurrently.
 struct RangeScratch {
   std::vector<int64_t> BestDepth;
   std::vector<int> BestEpoch;

@@ -46,8 +46,7 @@ struct RangeWork {
 /// Fills EarliestSlot/LatestSlot/CommLevel of \p E and appends the candidate
 /// slot range to \p CandOut (cleared first). The caller commits the list to
 /// the plan's arena — both Candidates and OriginalCandidates start as copies
-/// of it — so the analysis itself is free of shared-state writes and may run
-/// for many entries concurrently. The work done is added to \p Work.
+/// of it. The work done is added to \p Work.
 void analyzeEntryPlacement(const AnalysisContext &Ctx, CommEntry &E,
                            const PlacementOptions &Opts,
                            std::vector<Slot> &CandOut, RangeWork &Work);

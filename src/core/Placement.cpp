@@ -11,12 +11,12 @@
 #include "core/EarliestLatest.h"
 #include "support/Stats.h"
 #include "support/StrUtil.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -344,56 +344,23 @@ public:
   }
 
 private:
-  /// Per-entry Earliest/Latest analysis (Sections 4.2-4.4), fanned across
-  /// the placement pool when Opts.Jobs > 1. Entries are independent: the
-  /// analysis reads only the immutable context (the dominance query tally
-  /// is a relaxed atomic), and every entry's results and work counts land
-  /// in its own chunk's output, so scheduling cannot reorder anything.
-  /// The serial commit loop then copies each candidate list into the plan's
-  /// arena, appends the RangeComputed events in entry order and sums the
-  /// chunks' work — serial and parallel runs produce bitwise-identical
-  /// plans, decision logs and counters.
+  /// Per-entry Earliest/Latest analysis (Sections 4.2-4.4). Each entry's
+  /// candidate list is copied into the plan's arena twice: Candidates
+  /// shrinks during elimination while OriginalCandidates may later be
+  /// pinned, so they diverge.
   void analyzeEntries(CommPlan &Plan) {
-    const int N = static_cast<int>(Plan.Entries.size());
-    struct Chunk {
-      int Begin = 0, End = 0;
-      std::vector<Slot> Slots;      ///< Concatenated candidate lists.
-      std::vector<uint32_t> Offset; ///< End offset per entry in the chunk.
-      RangeWork Work;
-    };
-    int NumChunks = parallelChunkCount(Opts.Pool, Opts.Jobs, N);
-    std::vector<Chunk> Chunks(NumChunks);
-    runChunked(Opts.Pool, N, NumChunks, [&](int Begin, int End, int CI) {
-      Chunk &C = Chunks[CI];
-      C.Begin = Begin;
-      C.End = End;
-      std::vector<Slot> Tmp;
-      for (int I = Begin; I < End; ++I) {
-        analyzeEntryPlacement(Ctx, Plan.Entries[I], Opts, Tmp, C.Work);
-        C.Slots.insert(C.Slots.end(), Tmp.begin(), Tmp.end());
-        C.Offset.push_back(static_cast<uint32_t>(C.Slots.size()));
-      }
-    });
-    for (const Chunk &C : Chunks) {
-      Range.Solves += C.Work.Solves;
-      Range.Steps += C.Work.Steps;
-      uint32_t Prev = 0;
-      for (int I = C.Begin; I < C.End; ++I) {
-        uint32_t End = C.Offset[I - C.Begin];
-        uint32_t Len = End - Prev;
-        // Two arena copies: Candidates shrinks during elimination while
-        // OriginalCandidates may later be pinned, so they diverge.
-        Slot *Mem = Plan.Mem->allocArray<Slot>(2 * static_cast<size_t>(Len));
-        std::copy(C.Slots.begin() + Prev, C.Slots.begin() + End, Mem);
-        std::copy(Mem, Mem + Len, Mem + Len);
-        CommEntry &E = Plan.Entries[I];
-        E.Candidates = SlotSpan(Mem, Len);
-        E.OriginalCandidates = SlotSpan(Mem + Len, Len);
-        Prev = End;
-        Plan.Decisions.push_back(DecisionEvent::rangeComputed(
-            E.Id, E.EarliestSlot, E.LatestSlot, static_cast<int>(Len),
-            E.CommLevel));
-      }
+    std::vector<Slot> Cands;
+    for (CommEntry &E : Plan.Entries) {
+      analyzeEntryPlacement(Ctx, E, Opts, Cands, Range);
+      auto Len = static_cast<uint32_t>(Cands.size());
+      Slot *Mem = Plan.Mem->allocArray<Slot>(2 * static_cast<size_t>(Len));
+      std::copy(Cands.begin(), Cands.end(), Mem);
+      std::copy(Cands.begin(), Cands.end(), Mem + Len);
+      E.Candidates = SlotSpan(Mem, Len);
+      E.OriginalCandidates = SlotSpan(Mem + Len, Len);
+      Plan.Decisions.push_back(DecisionEvent::rangeComputed(
+          E.Id, E.EarliestSlot, E.LatestSlot, static_cast<int>(Len),
+          E.CommLevel));
     }
   }
 

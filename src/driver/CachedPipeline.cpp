@@ -20,14 +20,8 @@ std::string gca::optionsFingerprint(const CompileOptions &Opts) {
   const PlacementOptions &P = Opts.Placement;
   std::string S;
   // Every field, defaults included, in a fixed order. %.17g round-trips
-  // doubles exactly, so equal values always render equal.
-  //
-  // PlacementOptions::Jobs (and the Pool it implies) is deliberately NOT
-  // key material: the parallel placement phase commits per-entry results in
-  // entry order, so plans, diagnostics, decision logs, and counters are
-  // bitwise-identical at any job count — a result computed at -j8 replays
-  // correctly for a serial compile and vice versa. The non-semantic Stats
-  // export pointer is likewise excluded.
+  // doubles exactly, so equal values always render equal. The
+  // non-semantic Stats export pointer is excluded.
   S += strFormat("strategy=%s\n", strategyName(P.Strat));
   S += strFormat("combine-threshold-bytes=%lld\n",
                  static_cast<long long>(P.CombineThresholdBytes));

@@ -13,7 +13,6 @@
 #include "support/Json.h"
 #include "support/ResultCache.h"
 #include "support/StrUtil.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "xform/Fuse.h"
 #include "xform/Scalarize.h"
@@ -269,7 +268,6 @@ static void replayCounterSegment(const std::string &Text,
 
 static bool passPlacement(Session &S) {
   PlacementOptions POpts = S.Opts.Placement;
-  POpts.Pool = S.placementPool();
   S.forEachRoutine("placement", [&](size_t I, StatsRegistry &Stats) {
     RoutineResult &RR = S.Result.Routines[I];
     POpts.Stats = &Stats;
@@ -307,7 +305,6 @@ static bool passAudit(Session &S) {
   if (!S.Opts.Audit)
     return true;
   PlacementOptions POpts = S.Opts.Placement;
-  POpts.Pool = S.placementPool();
   bool Ok = S.forEachRoutine("audit", [&](size_t I, StatsRegistry &Stats) {
     RoutineResult &RR = S.Result.Routines[I];
     POpts.Stats = &Stats;
@@ -397,15 +394,6 @@ Session::Session(std::string Source, CompileOptions Opts)
     : Opts(std::move(Opts)), Source(std::move(Source)) {}
 
 Session::~Session() = default;
-
-ThreadPool *Session::placementPool() {
-  if (Opts.Placement.Jobs <= 1)
-    return nullptr;
-  if (!Pool)
-    Pool = std::make_unique<ThreadPool>(
-        static_cast<unsigned>(Opts.Placement.Jobs), "placement");
-  return Pool.get();
-}
 
 bool Session::run(const Pipeline &P) {
   Result.Ok = P.run(*this);
@@ -529,7 +517,6 @@ std::string Session::timeReportJson() const {
     W.endObject();
   }
   W.endArray();
-  W.key("placement_jobs").value(static_cast<int64_t>(Opts.Placement.Jobs));
   W.key("regions").raw(Times.json());
   W.endObject();
   return W.str();

@@ -43,7 +43,6 @@
 namespace gca {
 
 class Session;
-class ThreadPool;
 
 /// One `routine` block of an HPF-lite source, as sliced by
 /// sliceRoutineSources() (driver/CachedPipeline.h): the marker line plus
@@ -162,13 +161,6 @@ public:
       const std::function<bool(size_t I, StatsRegistry &Stats)> &Body,
       bool Timed = true);
 
-  /// The worker pool the parallel placement and audit phases run on, built
-  /// lazily with Opts.Placement.Jobs workers on first request. Null when
-  /// Jobs <= 1 (fully serial compilation). Owned by the session so
-  /// concurrent sessions never share a pool (reentrancy), and reused across
-  /// every routine and pass of this compilation.
-  ThreadPool *placementPool();
-
   /// Installs a ResultCache hit into this session without running any pass:
   /// Result gains the cached flags, errors, rendered diagnostics and plan
   /// texts (FromCache set), Dumps the cached dump-after records, and Stats
@@ -206,7 +198,6 @@ public:
 
 private:
   std::vector<std::unique_ptr<CommPlan>> Baselines;
-  std::unique_ptr<ThreadPool> Pool;
   bool Taken = false;
   /// Set by replayResult(): take() must keep the replayed Diagnostics
   /// instead of re-rendering the (empty) DiagEngine.

@@ -114,12 +114,6 @@ bool parseOptions(const JsonValue &Doc, CompileOptions &Opts,
         return false;
       }
       Opts.Placement.PartialRedundancy = V.boolValue();
-    } else if (Key == "placement_jobs") {
-      if (!V.isIntegral() || V.intValue() < 1) {
-        Err = "'placement_jobs' must be an integer >= 1";
-        return false;
-      }
-      Opts.Placement.Jobs = static_cast<int>(V.intValue());
     } else if (Key == "dump_after") {
       if (!V.isString()) {
         Err = "'dump_after' must be a string";
@@ -243,8 +237,6 @@ std::string buildCompileRequestJson(const CompileRequest &Req) {
   W.key("verify").value(verifyModeName(Req.Opts.Verify));
   W.key("defer_reductions").value(Req.Opts.Placement.DeferReductions);
   W.key("partial_redundancy").value(Req.Opts.Placement.PartialRedundancy);
-  W.key("placement_jobs").value(
-      static_cast<int64_t>(Req.Opts.Placement.Jobs));
   if (!Req.Opts.DumpAfter.empty())
     W.key("dump_after").value(Req.Opts.DumpAfter);
   W.key("params").beginObject();

@@ -21,7 +21,7 @@
 ///      "options":{"strategy":"comb", "scalarize":true, "fuse":false,
 ///                 "audit":true, "lint":false, "verify":"final",
 ///                 "defer_reductions":false, "partial_redundancy":false,
-///                 "placement_jobs":1, "params":{"n":64}}}
+///                 "params":{"n":64}}}
 ///     Every field except "source" is optional; omitted options take the
 ///     CompileOptions defaults. Unknown keys are rejected (strictness is
 ///     the protocol fuzzer's oracle).

@@ -11,6 +11,8 @@
 #include "support/StrUtil.h"
 #include "support/Trace.h"
 
+#include <algorithm>
+
 using namespace gca;
 
 ThreadPool::ThreadPool(unsigned NumThreads, std::string LanePrefix)

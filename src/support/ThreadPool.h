@@ -23,7 +23,6 @@
 #ifndef GCA_SUPPORT_THREADPOOL_H
 #define GCA_SUPPORT_THREADPOOL_H
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -75,41 +74,6 @@ private:
   unsigned NumActive = 0;
   bool Shutdown = false;
 };
-
-/// Deterministic chunked fan-out: the number of contiguous chunks [0, N) is
-/// split into, given the requested job count. A few chunks per worker keeps
-/// the tail balanced without fragmenting the work; serial callers get one
-/// chunk so the parallel and serial paths run the same code.
-inline int parallelChunkCount(const ThreadPool *Pool, int Jobs, int N) {
-  if (N <= 0)
-    return 0;
-  if (!Pool || Jobs <= 1)
-    return 1;
-  return std::min(N, Jobs * 4);
-}
-
-/// Runs \p F(Begin, End, ChunkIndex) over [0, N) split into \p NumChunks
-/// contiguous chunks (from parallelChunkCount), on \p Pool when it is
-/// non-null and more than one chunk was requested, inline otherwise. The
-/// chunk boundaries depend only on (N, NumChunks), so any per-chunk results
-/// the caller collects can be reduced in chunk order for scheduling-
-/// independent output.
-template <typename Fn>
-void runChunked(ThreadPool *Pool, int N, int NumChunks, Fn &&F) {
-  if (NumChunks <= 0)
-    return;
-  int Per = (N + NumChunks - 1) / NumChunks;
-  if (!Pool || NumChunks == 1) {
-    for (int C = 0; C != NumChunks; ++C)
-      F(std::min(C * Per, N), std::min((C + 1) * Per, N), C);
-    return;
-  }
-  for (int C = 0; C != NumChunks; ++C)
-    Pool->async([&F, C, Per, N] {
-      F(std::min(C * Per, N), std::min((C + 1) * Per, N), C);
-    });
-  Pool->wait();
-}
 
 } // namespace gca
 

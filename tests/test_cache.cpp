@@ -721,28 +721,6 @@ TEST(RoutineCacheTest, StartLineShiftInvalidatesLaterRoutines) {
   EXPECT_EQ(Warm, compileObserved(Grown, Opts, nullptr));
 }
 
-TEST(RoutineCacheTest, PlacementJobsAreNotKeyMaterial) {
-  // Plans and diagnostics are bitwise-identical at any --placement-jobs
-  // (tests/test_pipeline.cpp pins this), so Jobs is deliberately excluded
-  // from both whole-file and routine keys: entries stored by a serial
-  // compile must replay for a parallel one.
-  ResultCache Cache;
-  CompileOptions Opts = routineCacheOptions();
-  std::string A = multiRoutineSource(6);
-  std::string B = multiRoutineSource(6, /*EditedIdx=*/2);
-
-  Observed Serial = compileObserved(A, Opts, &Cache);
-  ASSERT_TRUE(Serial.Ok);
-  CompileOptions Par = Opts;
-  Par.Placement.Jobs = 8;
-  Observed Warm = compileObserved(B, Par, &Cache);
-  ASSERT_TRUE(Warm.Ok);
-  CacheStats S1 = Cache.stats();
-  EXPECT_EQ(S1.RoutineHits, 5);
-  EXPECT_EQ(S1.RoutineMisses, 7);
-  EXPECT_EQ(Warm, compileObserved(B, Opts, nullptr));
-}
-
 TEST(RoutineCacheTest, ReplayedLintWarningsAreBitwiseIdentical) {
   // A routine whose global placement brings no improvement draws a
   // [no-comm-benefit] lint warning with an absolute source line. Replaying
@@ -820,10 +798,6 @@ TEST(RoutineCacheTest, RoutineKeySensitivity) {
   CompileOptions Strat = Opts;
   Strat.Placement.Strat = Strategy::Orig;
   EXPECT_NE(K0.hex(), routineCacheKey(Prelude, Text, 3, Strat).hex());
-  // ...except Jobs, which never changes outputs.
-  CompileOptions Jobs = Opts;
-  Jobs.Placement.Jobs = 8;
-  EXPECT_EQ(K0.hex(), routineCacheKey(Prelude, Text, 3, Jobs).hex());
 }
 
 TEST(RoutineCacheTest, RoutineParamDoesNotLeakIntoLaterRoutines) {

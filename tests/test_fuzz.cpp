@@ -48,23 +48,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 using namespace gca;
 using fuzzgen::generateProgram;
-
-/// GCA_FUZZ_PLACEMENT_JOBS=N runs every fuzzed compilation with N placement
-/// jobs (scripts/check.sh sets 8 under TSan so the parallel placement and
-/// audit phases see the full fuzz corpus). Results are bitwise-identical at
-/// any job count, so every assertion below holds unchanged.
-static int fuzzPlacementJobs() {
-  static int Jobs = [] {
-    const char *E = std::getenv("GCA_FUZZ_PLACEMENT_JOBS");
-    int N = E ? std::atoi(E) : 1;
-    return N > 1 ? N : 1;
-  }();
-  return Jobs;
-}
 
 class Fuzz : public ::testing::TestWithParam<int> {};
 
@@ -77,7 +62,6 @@ TEST_P(Fuzz, PipelineSafeAndMonotone) {
   Strategy Strats[3] = {Strategy::Orig, Strategy::Earliest, Strategy::Global};
   for (int SI = 0; SI != 3; ++SI) {
     CompileOptions Opts;
-    Opts.Placement.Jobs = fuzzPlacementJobs();
     Opts.Placement.Strat = Strats[SI];
     // Exercise the extension flags on a rotating subset of seeds; they must
     // never compromise safety.
@@ -129,7 +113,6 @@ TEST_P(Fuzz, PipelineSafeAndMonotone) {
   // optimum can never use more call sites than the greedy.
   for (Strategy S : {Strategy::EarliestCombine, Strategy::Optimal}) {
     CompileOptions Opts;
-    Opts.Placement.Jobs = fuzzPlacementJobs();
     Opts.Placement.Strat = S;
     CompileResult R = compileSource(Src, Opts);
     ASSERT_TRUE(R.Ok) << R.Errors;
@@ -155,7 +138,6 @@ TEST_P(Fuzz, PipelineSafeAndMonotone) {
   // the key-normalization path under fuzz too.
   {
     CompileOptions Opts;
-    Opts.Placement.Jobs = fuzzPlacementJobs();
     Opts.Placement.Strat = Strategy::Global;
     Opts.Placement.DeferReductions = Seed % 3 == 0;
     Opts.Placement.PartialRedundancy = Seed % 4 == 0;

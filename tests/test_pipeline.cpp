@@ -16,7 +16,6 @@
 
 #include "analysis/CommLint.h"
 #include "support/ThreadPool.h"
-#include "workloads/Synth.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -225,38 +224,3 @@ TEST(Pipeline, ParseErrorsStillFail) {
 }
 
 } // namespace
-
-TEST(Pipeline, PlacementJobsMatrixIsBitwiseIdentical) {
-  // The full pipeline at --placement-jobs 1/2/8 under every strategy, over
-  // the workload suite plus a seeded synthetic routine set: plans, decision
-  // logs, diagnostics, and every counter must be bitwise-identical at any
-  // job count. This is the end-to-end face of the engine-level matrix in
-  // test_placement.cpp — and the reason PlacementOptions::Jobs is not
-  // result-cache key material.
-  std::vector<std::pair<std::string, std::string>> Inputs;
-  for (const Workload *W : allWorkloads())
-    Inputs.emplace_back(W->Name, W->Source);
-  SynthSpec Spec;
-  Spec.Nests = 200;
-  Spec.Seed = 1;
-  Inputs.emplace_back("synth-n200", synthSource(Spec));
-
-  for (Strategy Strat :
-       {Strategy::Orig, Strategy::Earliest, Strategy::Global,
-        Strategy::Optimal, Strategy::EarliestCombine}) {
-    for (const auto &[Name, Src] : Inputs) {
-      CompileOptions Opts;
-      Opts.Audit = true;
-      Opts.Lint = true;
-      Opts.Placement.Strat = Strat;
-      Opts.Placement.Jobs = 1;
-      std::string Ref = fingerprint(Src, Opts);
-      for (int Jobs : {2, 8}) {
-        Opts.Placement.Jobs = Jobs;
-        EXPECT_EQ(Ref, fingerprint(Src, Opts))
-            << Name << " strategy=" << strategyName(Strat)
-            << " jobs=" << Jobs;
-      }
-    }
-  }
-}

@@ -10,7 +10,6 @@
 #include "driver/Pipeline.h"
 #include "support/Stats.h"
 #include "support/StrUtil.h"
-#include "support/ThreadPool.h"
 #include "workloads/Synth.h"
 #include "workloads/Workloads.h"
 
@@ -447,58 +446,4 @@ TEST(IndexedPlacement, RangeWorkGrowsLinearlyWithTheRoutine) {
   ASSERT_GT(Steps1, 0);
   EXPECT_LE(static_cast<double>(Solves2) / static_cast<double>(Solves1), 2.5);
   EXPECT_LE(static_cast<double>(Steps2) / static_cast<double>(Steps1), 2.5);
-}
-
-//===----------------------------------------------------------------------===//
-// Parallel placement determinism (engine level)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Everything deterministic one planCommunication() call produces: rendered
-/// plan, decision log, plan stats, and the exported counter registry.
-std::string planFingerprint(const AnalysisContext &Ctx, const Routine &R,
-                            const PlacementOptions &Opts) {
-  StatsRegistry Stats;
-  PlacementOptions O = Opts;
-  O.Stats = &Stats;
-  CommPlan Plan = planCommunication(Ctx, O);
-  return Plan.str(R) + Plan.decisionsStr(R) + Plan.Stats.str() + Stats.json();
-}
-
-} // namespace
-
-TEST(ParallelPlacement, JobsMatrixIsBitwiseDeterministic) {
-  // Every strategy at jobs 1/2/8 over a seeded synthetic routine set: plans,
-  // decision logs, plan stats, and counters (dom.queries included) must be
-  // bitwise-identical at every job count. The engine commits per-entry
-  // analysis results in entry order, so this holds by construction — the
-  // test pins the construction.
-  SynthSpec Spec;
-  Spec.Nests = 120;
-  Spec.Seed = 7;
-  std::string Src = synthSource(Spec);
-  DiagEngine D;
-  auto P = parseProgram(Src, D);
-  ASSERT_TRUE(P && !D.hasErrors());
-
-  for (Strategy Strat :
-       {Strategy::Orig, Strategy::Earliest, Strategy::Global,
-        Strategy::Optimal, Strategy::EarliestCombine}) {
-    for (const auto &R : P->Routines) {
-      AnalysisContext Ctx(*R);
-      PlacementOptions Opts;
-      Opts.Strat = Strat;
-      std::string Ref = planFingerprint(Ctx, *R, Opts);
-      ASSERT_FALSE(Ref.empty());
-      for (int Jobs : {2, 8}) {
-        ThreadPool Pool(static_cast<unsigned>(Jobs), "placement-test");
-        PlacementOptions PJ = Opts;
-        PJ.Jobs = Jobs;
-        PJ.Pool = &Pool;
-        EXPECT_EQ(Ref, planFingerprint(Ctx, *R, PJ))
-            << strategyName(Strat) << " jobs=" << Jobs;
-      }
-    }
-  }
 }

@@ -146,7 +146,6 @@ TEST(ServeProtocolTest, BuildParseRoundTrip) {
   Req.Opts.Placement.Strat = Strategy::Optimal;
   Req.Opts.FuseLoops = true;
   Req.Opts.Verify = VerifyMode::Each;
-  Req.Opts.Placement.Jobs = 3;
   Req.Opts.Params["n"] = 128;
   std::string Wire = buildCompileRequestJson(Req);
 
@@ -175,8 +174,6 @@ TEST(ServeProtocolTest, StrictParsingRejectsUnknownAndMistyped) {
   EXPECT_TRUE(Fails("{\"source\":\"s\",\"id\":\"seven\"}"));
   EXPECT_TRUE(Fails("{\"source\":\"s\",\"options\":{\"bogus\":true}}"));
   EXPECT_TRUE(Fails("{\"source\":\"s\",\"options\":{\"strategy\":\"nope\"}}"));
-  EXPECT_TRUE(Fails(
-      "{\"source\":\"s\",\"options\":{\"placement_jobs\":0}}"));
   EXPECT_TRUE(Fails(
       "{\"source\":\"s\",\"options\":{\"params\":{\"n\":\"many\"}}}"));
 }
