@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/AvailDataflow.h"
 #include "analysis/CommLint.h"
 #include "analysis/PlanAudit.h"
 #include "driver/Compile.h"
@@ -378,6 +379,13 @@ bool hasRule(const AuditReport &A, AuditRule Rule) {
   return false;
 }
 
+/// The dataflow verifier's verdict on the same plan: the verifier column of
+/// the catch matrix in DESIGN.md ("Translation validation").
+bool verifyOk(const RoutineResult &RR,
+              const PlacementOptions &Opts = PlacementOptions()) {
+  return verifyPlan(*RR.Ctx, RR.Plan, Opts).ok();
+}
+
 } // namespace
 
 TEST(PlanAudit, PlacementPastUseRejected) {
@@ -399,6 +407,7 @@ TEST(PlanAudit, PlacementPastUseRejected) {
   EXPECT_NE(Diags.str().find("plan audit [placement-range]"),
             std::string::npos)
       << Diags.str();
+  EXPECT_FALSE(verifyOk(RR));
 }
 
 TEST(PlanAudit, PlacementBeforeInterveningDefRejected) {
@@ -412,6 +421,7 @@ TEST(PlanAudit, PlacementBeforeInterveningDefRejected) {
   AuditReport A = auditPlan(*RR.Ctx, RR.Plan, PlacementOptions());
   EXPECT_FALSE(A.ok());
   EXPECT_TRUE(hasRule(A, AuditRule::InterveningDef)) << A.str();
+  EXPECT_FALSE(verifyOk(RR));
 }
 
 TEST(PlanAudit, BrokenSubsumptionChainRejected) {
@@ -428,6 +438,7 @@ TEST(PlanAudit, BrokenSubsumptionChainRejected) {
   EXPECT_FALSE(A.ok());
   EXPECT_TRUE(hasRule(A, AuditRule::RedundancyAvail)) << A.str();
   EXPECT_TRUE(hasRule(A, AuditRule::Structure)) << A.str(); // Empty group.
+  EXPECT_FALSE(verifyOk(RR));
 }
 
 TEST(PlanAudit, DataNotCoveringEntryRejected) {
@@ -442,6 +453,7 @@ TEST(PlanAudit, DataNotCoveringEntryRejected) {
   AuditReport A = auditPlan(*RR.Ctx, RR.Plan, PlacementOptions());
   EXPECT_FALSE(A.ok());
   EXPECT_TRUE(hasRule(A, AuditRule::SubsetCoverage)) << A.str();
+  EXPECT_FALSE(verifyOk(RR));
 }
 
 TEST(PlanAudit, InconsistentGroupLinksRejected) {
@@ -453,6 +465,7 @@ TEST(PlanAudit, InconsistentGroupLinksRejected) {
   AuditReport A = auditPlan(*RR.Ctx, RR.Plan, PlacementOptions());
   EXPECT_FALSE(A.ok());
   EXPECT_TRUE(hasRule(A, AuditRule::Structure)) << A.str();
+  EXPECT_FALSE(verifyOk(RR));
 }
 
 TEST(PlanAudit, CombiningOverThresholdRejected) {
@@ -483,6 +496,8 @@ TEST(PlanAudit, CombiningOverThresholdRejected) {
   AuditReport A = auditPlan(*RR.Ctx, RR.Plan, Tiny);
   EXPECT_FALSE(A.ok());
   EXPECT_TRUE(hasRule(A, AuditRule::CombineLegality)) << A.str();
+  // The verifier checks no size threshold.
+  EXPECT_TRUE(verifyOk(RR, Tiny));
 
   // And under the real threshold the same plan is legal.
   EXPECT_TRUE(auditPlan(*RR.Ctx, RR.Plan, PlacementOptions()).ok());

@@ -23,6 +23,7 @@
 
 #include "FuzzGen.h"
 #include "analysis/AvailDataflow.h"
+#include "analysis/PlanAudit.h"
 #include "driver/Compile.h"
 #include "support/Stats.h"
 #include "workloads/Workloads.h"
@@ -58,6 +59,12 @@ bool hasRule(const VerifyReport &R, VerifyRule Rule) {
 /// when \p ExpectClean.
 VerifyReport verify(const RoutineResult &RR) {
   return verifyPlan(*RR.Ctx, RR.Plan, PlacementOptions());
+}
+
+/// The static audit's verdict on the same plan: the audit column of the
+/// catch matrix in DESIGN.md ("Translation validation").
+bool auditOk(const RoutineResult &RR) {
+  return auditPlan(*RR.Ctx, RR.Plan, PlacementOptions()).ok();
 }
 
 /// The test_analysis stencil: two reads of b separated by a redefinition,
@@ -165,6 +172,7 @@ TEST(VerifyMutation, HoistPastDefCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailFreshness)) << V.str();
+  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, HoistOutOfCarryingLoopCaught) {
@@ -189,6 +197,7 @@ TEST(VerifyMutation, HoistOutOfCarryingLoopCaught) {
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailFreshness)) << V.str();
   EXPECT_FALSE(hasRule(V, VerifyRule::AvailCoverage)) << V.str();
+  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, SinkPastUseCaught) {
@@ -203,6 +212,7 @@ TEST(VerifyMutation, SinkPastUseCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailCoverage)) << V.str();
+  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, ShrunkSectionCaught) {
@@ -220,6 +230,7 @@ TEST(VerifyMutation, ShrunkSectionCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailCoverage)) << V.str();
+  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, RetargetedSubsumptionCaught) {
@@ -248,6 +259,7 @@ TEST(VerifyMutation, RetargetedSubsumptionCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailRedundancy)) << V.str();
+  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, WidenedMappingCaught) {
@@ -267,6 +279,7 @@ TEST(VerifyMutation, WidenedMappingCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailRedundancy)) << V.str();
+  EXPECT_FALSE(auditOk(RR));
 }
 
 //===----------------------------------------------------------------------===//
@@ -286,6 +299,7 @@ TEST(VerifyMutation, DroppedGroupCaught) {
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::PlanIntegrity)) << V.str();
   EXPECT_TRUE(hasRule(V, VerifyRule::DecisionLog)) << V.str();
+  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, InvalidSlotCaught) {
@@ -300,6 +314,9 @@ TEST(VerifyMutation, InvalidSlotCaught) {
   // treats the group as never firing.
   EXPECT_TRUE(hasRule(V, VerifyRule::PlanIntegrity)) << V.str();
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailCoverage)) << V.str();
+  // No audit verdict: the auditor indexes the CFG and the dominator tree by
+  // the slot's node without a bounds check, so node 9999 reads out of
+  // bounds there.
 }
 
 TEST(VerifyMutation, DuplicateMembershipCaught) {
@@ -311,6 +328,7 @@ TEST(VerifyMutation, DuplicateMembershipCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::PlanIntegrity)) << V.str();
+  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, TamperedDecisionLogCaught) {
@@ -331,6 +349,7 @@ TEST(VerifyMutation, TamperedDecisionLogCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::DecisionLog)) << V.str();
+  EXPECT_TRUE(auditOk(RR)); // The audit does not read the log.
 }
 
 TEST(VerifyMutation, ErasedEliminationEventCaught) {
@@ -351,6 +370,7 @@ TEST(VerifyMutation, ErasedEliminationEventCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::DecisionLog)) << V.str();
+  EXPECT_TRUE(auditOk(RR)); // The audit does not read the log.
 }
 
 TEST(VerifyMutation, OutOfScopeDescriptorVarCaught) {
@@ -372,6 +392,7 @@ TEST(VerifyMutation, OutOfScopeDescriptorVarCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::PlanIntegrity)) << V.str();
+  EXPECT_FALSE(auditOk(RR));
 }
 
 //===----------------------------------------------------------------------===//
