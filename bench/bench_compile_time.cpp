@@ -126,18 +126,16 @@ BENCHMARK(BM_ParallelBatch)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Placement + audit over one synthetic thousand-entry routine: the workload
-// the indexed placement engine is sized for. N is the nest count of the
-// generator; N=400 yields ~1200 communication entries.
+// The standard pipeline over one synthetic thousand-entry routine: the
+// workload the indexed placement engine is sized for. N is the nest count of
+// the generator; N=400 yields ~1200 communication entries.
 static void BM_SynthPlacement(benchmark::State &State) {
   SynthSpec Spec;
   Spec.Nests = static_cast<int>(State.range(0));
   Spec.Seed = 1;
   std::string Src = synthSource(Spec);
   for (auto _ : State) {
-    CompileOptions Opts;
-    Opts.Audit = true;
-    Session S(Src, Opts);
+    Session S(Src, CompileOptions());
     S.run();
     benchmark::DoNotOptimize(&S.Result);
   }
@@ -221,43 +219,34 @@ void writeResultsFile(const char *Path) {
   }
 
   // Synthetic placement-scaling workload: the bench gate's primary signal.
-  // One deterministic ~1200-entry routine set compiled with the full pipeline
-  // plus audit; per-pass wall times come from the session's pass records,
+  // One deterministic ~1200-entry routine set compiled with the full
+  // pipeline; per-pass wall times come from the session's pass records,
   // min-of-3 to shed scheduler noise.
   {
     SynthSpec Spec;
     Spec.Nests = 400;
     Spec.Seed = 1;
     std::string Src = synthSource(Spec);
-    int64_t PlaceNs = 0, AuditNs = 0, WallNs = 0, Entries = 0;
+    int64_t PlaceNs = 0, WallNs = 0, Entries = 0;
     for (int Rep = 0; Rep != 3; ++Rep) {
       CompileOptions Opts;
-      Opts.Audit = true;
       Opts.Verify = VerifyMode::Off; // Measured separately below.
       int64_t T0 = nowNs();
       Session S(Src, Opts);
       S.run();
       int64_t W = nowNs() - T0;
-      int64_t P = 0, A = 0;
-      for (const PassRecord &PR : S.Passes) {
-        int64_t Ns = static_cast<int64_t>(PR.Time.WallSec * 1e9);
+      int64_t P = 0;
+      for (const PassRecord &PR : S.Passes)
         if (PR.Name == "placement")
-          P += Ns;
-        else if (PR.Name == "audit")
-          A += Ns;
-      }
+          P += static_cast<int64_t>(PR.Time.WallSec * 1e9);
       if (Rep == 0 || W < WallNs)
         WallNs = W;
       if (Rep == 0 || P < PlaceNs)
         PlaceNs = P;
-      if (Rep == 0 || A < AuditNs)
-        AuditNs = A;
       Entries = S.Stats.get("placement.entries-detected");
     }
     Snap.Counters["synth.n400.entries"] = Entries;
     Snap.Counters["synth.n400.placement_ns"] = PlaceNs;
-    Snap.Counters["synth.n400.audit_ns"] = AuditNs;
-    Snap.Counters["synth.n400.placement_plus_audit_ns"] = PlaceNs + AuditNs;
     Snap.Counters["synth.n400.wall_ns"] = WallNs;
 
     // The translation-validation verifier on the same routine set: the
@@ -267,7 +256,6 @@ void writeResultsFile(const char *Path) {
     int64_t VerifyNs = 0, VerifiedWallNs = 0;
     for (int Rep = 0; Rep != 3; ++Rep) {
       CompileOptions Opts;
-      Opts.Audit = true;
       Opts.Verify = VerifyMode::Final;
       int64_t T0 = nowNs();
       Session S(Src, Opts);
@@ -306,7 +294,6 @@ void writeResultsFile(const char *Path) {
     for (int Rep = 0; Rep != 7; ++Rep)
       for (int K = 0; K != 3; ++K) {
         CompileOptions Opts;
-        Opts.Audit = false;
         Opts.Verify = VerifyMode::Off;
         Session S(Srcs[K], Opts);
         S.run();
@@ -334,19 +321,18 @@ void writeResultsFile(const char *Path) {
     Spec.Seed = 1;
     std::string Src = synthSource(Spec);
     CompileOptions Opts;
-    Opts.Audit = true;
     Opts.Verify = VerifyMode::Off;
     int64_t T0 = nowNs();
     Session S(Src, Opts);
     S.run();
     int64_t WallNs = nowNs() - T0;
-    int64_t PA = 0;
+    int64_t PlaceNs = 0;
     for (const PassRecord &PR : S.Passes)
-      if (PR.Name == "placement" || PR.Name == "audit")
-        PA += static_cast<int64_t>(PR.Time.WallSec * 1e9);
+      if (PR.Name == "placement")
+        PlaceNs += static_cast<int64_t>(PR.Time.WallSec * 1e9);
     Snap.Counters["synth.n10000.entries"] =
         S.Stats.get("placement.entries-detected");
-    Snap.Counters["synth.n10000.placement_plus_audit_ns"] = PA;
+    Snap.Counters["synth.n10000.placement_ns"] = PlaceNs;
     Snap.Counters["synth.n10000.wall_ns"] = WallNs;
   }
 

@@ -50,12 +50,10 @@ import sys
 # track the indexed placement engine on a ~1200-entry routine.
 WARN_THRESHOLDS = {
     "synth.n400.placement_ns": 2.0,
-    "synth.n400.audit_ns": 2.0,
-    "synth.n400.placement_plus_audit_ns": 2.0,
     "synth.n400.wall_ns": 2.0,
     "synth.n400.verify_ns": 2.0,
     "synth.n400.verified_wall_ns": 2.0,
-    "synth.n10000.placement_plus_audit_ns": 2.0,
+    "synth.n10000.placement_ns": 2.0,
     "synth.n10000.wall_ns": 2.0,
     "synth.n2000.placement_serial_ns": 2.0,
     "synth.n4000.placement_serial_ns": 2.0,

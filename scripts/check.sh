@@ -6,7 +6,9 @@
 #   2. Debug build with the translation validator between every pass
 #      (--verify=each) over examples/ and the built-in workloads, plus the
 #      fuzz shards (which use the verifier as their plan oracle);
-#   3. ASan/UBSan build + the whole suite;
+#   3. ASan/UBSan build + the whole suite, with bounds-checked standard
+#      containers (-D_GLIBCXX_ASSERTIONS) and UBSan reports fatal
+#      (-fno-sanitize-recover=undefined), so either one fails its test;
 #   4. TSan build, verifying that an 8-way batch compile of every built-in
 #      workload is race-free and bitwise equal to a serial run, that the
 #      shared result cache is race-free and single-flight under 8-way
@@ -39,11 +41,13 @@ echo "== verifier build (Debug, --verify=each) =="
 # all 120 fuzz plans with asserts on.
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug "$@"
 cmake --build build-debug -j "$JOBS" --target gca-compile gca_fuzz_tests
-build-debug/tools/gca-compile --workloads examples/*.hpf --audit --lint \
+build-debug/tools/gca-compile --workloads examples/*.hpf --lint \
   --verify=each --stats > /dev/null
 ctest --test-dir build-debug -L fuzz --output-on-failure -j "$JOBS"
 
 echo "== sanitizer build (address;undefined) =="
+# GCA_SANITIZE also turns on container bounds checks and fatal UBSan reports
+# (top-level CMakeLists.txt).
 cmake -B build-asan -S . -DGCA_SANITIZE="address;undefined" "$@"
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
@@ -51,7 +55,7 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 echo "== thread sanitizer run (parallel batch driver) =="
 cmake -B build-tsan -S . -DGCA_SANITIZE="thread" "$@"
 cmake --build build-tsan -j "$JOBS" --target gca-compile
-build-tsan/tools/gca-compile --workloads --jobs 8 --stats --audit --lint \
+build-tsan/tools/gca-compile --workloads --jobs 8 --stats --lint \
   --verify-determinism > /dev/null
 
 echo "== thread sanitizer run (shared result cache, single-flight) =="
@@ -59,7 +63,7 @@ echo "== thread sanitizer run (shared result cache, single-flight) =="
 # exactly one compiles (1 miss) and the other seven replay (7 hits), with
 # every built-in workload compiling concurrently alongside.
 J=examples/jacobi.hpf
-build-tsan/tools/gca-compile --jobs 8 --audit --lint --cache=mem \
+build-tsan/tools/gca-compile --jobs 8 --lint --cache=mem \
   --cache-stats --workloads "$J" "$J" "$J" "$J" "$J" "$J" "$J" "$J" \
   > /dev/null 2> build-tsan/cache-stats.txt \
   || { cat build-tsan/cache-stats.txt; exit 1; }

@@ -25,14 +25,10 @@ bool validSlot(const Cfg &G, const Slot &S) {
          S.Index <= static_cast<int>(G.node(S.Node).Stmts.size());
 }
 
-/// A fixed-width bit row over the fact universe.
-using BitRow = std::vector<uint64_t>;
-
-void rowOr(BitRow &R, const BitRow &O) {
-  for (size_t I = 0; I != R.size(); ++I)
-    R[I] |= O[I];
+/// Sets bit \p B of the bit row starting at \p Row.
+void rowSetBit(uint64_t *Row, int B) {
+  Row[B >> 6] |= uint64_t(1) << (B & 63);
 }
-void rowSetBit(BitRow &R, int B) { R[B >> 6] |= uint64_t(1) << (B & 63); }
 
 /// The two simultaneous domains: Reach sees GEN and the structural kills
 /// only ("the communication fired on every path"); Avail additionally sees
@@ -77,29 +73,38 @@ struct AvailDataflow::Impl {
   int Words = 0;
 
   std::vector<std::vector<Event>> Events; ///< Per node, sorted.
+  /// Bit rows are Words words wide and stored flat, row R at R * Words.
   /// Per loop, the facts killed on its back edge, per domain. Reach carries
   /// the structural kills (loops enclosing the placement parameterize the
   /// descriptor); Avail adds the carried-dependence kills.
-  std::vector<BitRow> BackKill[2];
-  /// Scope rows: the facts alive inside each loop (and at top level). A
-  /// fact's scope — nodes whose loop chain the placement's chain prefixes —
-  /// is exactly the body of the placement's innermost loop, so one row per
-  /// loop stands in for a per-node mask.
-  BitRow TopScope;
-  std::vector<BitRow> LoopScope;
-  std::vector<const BitRow *> ScopeOf; ///< Per node, into the rows above.
+  std::vector<uint64_t> BackKill[2];
+  /// Scope rows: the facts alive inside each loop, then one row for the top
+  /// level. A fact's scope — nodes whose loop chain the placement's chain
+  /// prefixes — is exactly the body of the placement's innermost loop, so
+  /// one row per loop stands in for a per-node mask.
+  std::vector<uint64_t> Scope;
+
+  const uint64_t *scopeRow(int Node) const {
+    int L = Ctx.G.loopOf(Node);
+    size_t R = L >= 0 ? static_cast<size_t>(L) : Ctx.G.numLoops();
+    return Scope.data() + R * Words;
+  }
   /// Per domain, the Out row of every node in one flat array: node N's row
   /// is the Words words at N * Words. In rows are not stored: the meet
   /// (computeIn) derives them from the predecessors' Out rows, and a query
-  /// needs only one bit of one.
-  std::vector<uint64_t> Out[2];
+  /// needs only one bit of one. Each domain is solved on its first query
+  /// (query() below), so a run that never reads a domain never pays for it.
+  mutable std::vector<uint64_t> Out[2];
+  mutable bool Solved[2] = {false, false};
 
   const uint64_t *outRow(int Dom, int Node) const {
     return Out[Dom].data() + static_cast<size_t>(Node) * Words;
   }
 
-  /// Per loop, then top level last: the loop chain, outermost first.
-  std::vector<std::vector<int>> LoopChains;
+  /// Per loop, then top level last: the loop chain, outermost first. Chain
+  /// R is ChainIds[ChainStart[R], ChainStart[R + 1]).
+  std::vector<int> ChainIds;
+  std::vector<size_t> ChainStart;
   std::vector<int> HeaderLoop; ///< Node -> loop headed, or -1.
   std::vector<int> Rpo;
   std::vector<int> RpoIndex; ///< Node -> position in Rpo, or -1 unreachable.
@@ -108,13 +113,13 @@ struct AvailDataflow::Impl {
       : Ctx(Ctx), Plan(Plan) {
     buildNodeMaps();
     buildFacts();
-    solve();
   }
 
   /// The loop chain of \p Node (the loops containing it), outermost first.
-  const std::vector<int> &chainOf(int Node) const {
+  std::span<const int> chainOf(int Node) const {
     int L = Ctx.G.loopOf(Node);
-    return LoopChains[L >= 0 ? L : LoopChains.size() - 1];
+    size_t R = L >= 0 ? static_cast<size_t>(L) : ChainStart.size() - 2;
+    return {ChainIds.data() + ChainStart[R], ChainStart[R + 1] - ChainStart[R]};
   }
 
   // --- Construction ---------------------------------------------------------
@@ -123,12 +128,15 @@ struct AvailDataflow::Impl {
     const Cfg &G = Ctx.G;
     int N = static_cast<int>(G.numNodes());
     int NumLoops = static_cast<int>(G.numLoops());
-    LoopChains.assign(NumLoops + 1, {});
+    ChainStart.assign(1, 0);
     for (int Id = 0; Id != NumLoops; ++Id) {
+      size_t Begin = ChainIds.size();
       for (int L = Id; L >= 0; L = G.loop(L).Parent)
-        LoopChains[Id].push_back(L);
-      std::reverse(LoopChains[Id].begin(), LoopChains[Id].end());
+        ChainIds.push_back(L);
+      std::reverse(ChainIds.begin() + Begin, ChainIds.end());
+      ChainStart.push_back(ChainIds.size());
     }
+    ChainStart.push_back(ChainIds.size()); // The top level's empty chain.
     HeaderLoop.assign(N, -1);
     for (unsigned L = 0; L != G.numLoops(); ++L) {
       const CfgLoop &Loop = G.loop(static_cast<int>(L));
@@ -215,7 +223,7 @@ struct AvailDataflow::Impl {
     };
     std::unordered_map<int64_t, std::vector<KeyedDef>> ScreenLists;
     const int64_t NumArrays = static_cast<int64_t>(Ctx.R.arrays().size());
-    std::vector<int> Picked;
+    std::vector<int> Picked, QueryRegions;
 
     Events.assign(N, {});
     int NumLoops = static_cast<int>(G.numLoops());
@@ -242,6 +250,7 @@ struct AvailDataflow::Impl {
 
     DepDirs Scratch;
     std::vector<char> LevelAdded;
+    Facts.reserve(Plan.Entries.size());
     for (const CommEntry &E : Plan.Entries) {
       if (E.M.Kind == CommKind::Reduce)
         continue; // Reductions fire at their statement; nothing to track.
@@ -307,12 +316,12 @@ struct AvailDataflow::Impl {
       // query point is kept, and the rest must fall in the RPO window.
       if (F.Placed && F.Generated) {
         const std::vector<int> &UseNest = G.loopNestOf(E.UseStmt);
-        const std::vector<int> &PlaceChain = chainOf(Grp.Placement.Node);
+        std::span<const int> PlaceChain = chainOf(Grp.Placement.Node);
         int Lp = PlaceChain.empty() ? -1 : PlaceChain.back();
         // The node's region directly inside Lp: the node itself, the
         // preheader of its enclosing child loop of Lp, or -1 outside Lp.
         auto projNode = [&](int Node) -> int {
-          const std::vector<int> &NC = chainOf(Node);
+          std::span<const int> NC = chainOf(Node);
           size_t At = 0;
           if (Lp >= 0) {
             while (At != NC.size() && NC[At] != Lp)
@@ -326,7 +335,7 @@ struct AvailDataflow::Impl {
           return G.loop(NC[At]).Preheader;
         };
         int PlaceRpo = -1, LastRpo = -1;
-        std::vector<int> QueryRegions;
+        QueryRegions.clear();
         bool NoScreen = false;
         auto addQueryNode = [&](int Node, bool IsPlacement) {
           if (Node < 0 || Node >= N)
@@ -427,41 +436,42 @@ struct AvailDataflow::Impl {
     if (Words == 0)
       Words = 1;
 
+    auto rowOf = [&](std::vector<uint64_t> &Rows, int R) {
+      return Rows.data() + static_cast<size_t>(R) * Words;
+    };
     for (int D = 0; D != 2; ++D)
-      BackKill[D].assign(NumLoops, BitRow(Words, 0));
+      BackKill[D].assign(static_cast<size_t>(NumLoops) * Words, 0);
     for (auto [L, F] : BackKillReach)
-      rowSetBit(BackKill[Reach][L], F);
+      rowSetBit(rowOf(BackKill[Reach], L), F);
     for (auto [L, F] : BackKillReach)
-      rowSetBit(BackKill[Avail][L], F);
+      rowSetBit(rowOf(BackKill[Avail], L), F);
     for (auto [L, F] : BackKillAvail)
-      rowSetBit(BackKill[Avail][L], F);
+      rowSetBit(rowOf(BackKill[Avail], L), F);
 
     // Scope: a fact exists only at nodes whose loop chain the placement's
     // chain prefixes — outside it the descriptor's variables are unbound.
     // That region is exactly the body of the placement's innermost loop
-    // (the prefix is that loop's ancestor path), so build one row per loop
-    // — its own facts plus every ancestor's — and point nodes at them.
-    TopScope.assign(Words, 0);
-    std::vector<BitRow> LoopOwn(NumLoops, BitRow(Words, 0));
+    // (the prefix is that loop's ancestor path), so build one row per loop:
+    // its own facts plus every ancestor's and the top level's.
+    std::vector<uint64_t> LoopOwn(static_cast<size_t>(NumLoops) * Words, 0);
+    Scope.assign(static_cast<size_t>(NumLoops + 1) * Words, 0);
+    uint64_t *Top = rowOf(Scope, NumLoops);
     for (int FI = 0; FI != NumFacts; ++FI) {
       const Fact &F = Facts[FI];
       if (!F.Placed)
         continue;
-      const std::vector<int> &PC =
-          chainOf(Plan.Groups[F.GroupId].Placement.Node);
-      if (PC.empty())
-        rowSetBit(TopScope, FI);
-      else
-        rowSetBit(LoopOwn[PC.back()], FI);
+      std::span<const int> PC = chainOf(Plan.Groups[F.GroupId].Placement.Node);
+      rowSetBit(PC.empty() ? Top : rowOf(LoopOwn, PC.back()), FI);
     }
-    LoopScope.assign(NumLoops, TopScope);
-    for (int L = 0; L != NumLoops; ++L)
-      for (int C = L; C >= 0; C = G.loop(C).Parent)
-        rowOr(LoopScope[L], LoopOwn[C]);
-    ScopeOf.assign(N, &TopScope);
-    for (int Node = 0; Node != N; ++Node)
-      if (int L = G.loopOf(Node); L >= 0)
-        ScopeOf[Node] = &LoopScope[L];
+    for (int L = 0; L != NumLoops; ++L) {
+      uint64_t *Row = rowOf(Scope, L);
+      std::copy(Top, Top + Words, Row);
+      for (int C = L; C >= 0; C = G.loop(C).Parent) {
+        const uint64_t *Own = rowOf(LoopOwn, C);
+        for (int W = 0; W != Words; ++W)
+          Row[W] |= Own[W];
+      }
+    }
 
     for (auto &NodeEvents : Events)
       std::sort(NodeEvents.begin(), NodeEvents.end(),
@@ -492,7 +502,7 @@ struct AvailDataflow::Impl {
     int HL = HeaderLoop[Node];
     if (HL < 0 || P == Ctx.G.loop(HL).Preheader)
       return nullptr;
-    return BackKill[Dom][HL].data();
+    return BackKill[Dom].data() + static_cast<size_t>(HL) * Words;
   }
 
   void computeIn(uint64_t *Row, int Node, int Dom) const {
@@ -514,32 +524,43 @@ struct AvailDataflow::Impl {
           Row[W] &= O[W];
       }
     }
-    const uint64_t *Scope = ScopeOf[Node]->data();
+    const uint64_t *InScope = scopeRow(Node);
     for (int W = 0; W != Words; ++W)
-      Row[W] &= Scope[W];
+      Row[W] &= InScope[W];
   }
 
-  /// Iterates each domain to its own fixed point in reverse post-order; the
-  /// domains never read each other's rows.
-  void solve() {
-    size_t Cells = static_cast<size_t>(Ctx.G.numNodes()) * Words;
+  /// Iterates domain \p D to its fixed point in reverse post-order. The
+  /// domains never read each other's rows, so each is solved on its own.
+  /// After the first sweep a node is revisited only when a predecessor's
+  /// Out row changed since its last visit; from TOP, any such order reaches
+  /// the same (greatest) fixed point.
+  void solve(int D) const {
+    const Cfg &G = Ctx.G;
+    size_t Cells = static_cast<size_t>(G.numNodes()) * Words;
     std::vector<uint64_t> Row(Words);
-    for (int D = 0; D != 2; ++D) {
-      Out[D].assign(Cells, ~uint64_t(0)); // TOP: the meet only removes facts.
-      bool Changed = true;
-      while (Changed) {
-        Changed = false;
-        for (int Node : Rpo) {
-          computeIn(Row.data(), Node, D);
-          size_t At = static_cast<size_t>(Node) * Words;
-          transfer(Row.data(), Node, D);
-          if (!std::equal(Row.begin(), Row.end(), Out[D].begin() + At)) {
-            std::copy(Row.begin(), Row.end(), Out[D].begin() + At);
-            Changed = true;
-          }
+    Out[D].assign(Cells, ~uint64_t(0)); // TOP: the meet only removes facts.
+    std::vector<char> Dirty(G.numNodes(), 0);
+    for (int Node : Rpo)
+      Dirty[Node] = 1;
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (int Node : Rpo) {
+        if (!Dirty[Node])
+          continue;
+        Dirty[Node] = 0;
+        computeIn(Row.data(), Node, D);
+        size_t At = static_cast<size_t>(Node) * Words;
+        transfer(Row.data(), Node, D);
+        if (!std::equal(Row.begin(), Row.end(), Out[D].begin() + At)) {
+          std::copy(Row.begin(), Row.end(), Out[D].begin() + At);
+          for (int S : G.node(Node).Succs)
+            Dirty[S] = 1;
+          Changed = true;
         }
       }
     }
+    Solved[D] = true;
   }
 
   /// One bit of the In row of \p Node: computeIn's meet for fact \p FactId
@@ -557,13 +578,15 @@ struct AvailDataflow::Impl {
       if (!(outRow(Dom, P)[W] & Bit) || (Kill && (Kill[W] & Bit)))
         return false;
     }
-    return (*ScopeOf[Node])[W] & Bit;
+    return scopeRow(Node)[W] & Bit;
   }
 
   /// Is fact \p FactId in domain \p Dom at program point \p At?
   bool query(int FactId, const Slot &At, int Dom) const {
     if (!validSlot(Ctx.G, At))
       return false;
+    if (!Solved[Dom])
+      solve(Dom);
     bool Bit = inBit(FactId, At.Node, Dom);
     for (const Event &Ev : Events[At.Node]) {
       if (Ev.Pos > At.Index || (Ev.Pos == At.Index && Ev.IsKill))
@@ -775,6 +798,7 @@ VerifyReport gca::verifyPlan(const AnalysisContext &Ctx, const CommPlan &Plan,
   Report.Strat = Plan.Strat;
   verifyIr(Ctx.R, Ctx.G, Ctx.S, Report);
   verifyPlanIntegrity(Ctx, Plan, Report);
+  verifyCombineLegality(Ctx, Plan, Opts, Report);
   AvailDataflow DF(Ctx, Plan);
   DF.check(Report);
   if (StatsRegistry *S = Opts.Stats) {
@@ -787,5 +811,13 @@ VerifyReport gca::verifyPlan(const AnalysisContext &Ctx, const CommPlan &Plan,
     for (const VerifyViolation &V : Report.Violations)
       Diags->error(V.Loc, "plan verify [%s]: %s", verifyRuleName(V.Rule),
                    V.Message.c_str());
+  return Report;
+}
+
+VerifyReport gca::auditPlan(const AnalysisContext &Ctx, const CommPlan &Plan,
+                            const PlacementOptions &Opts) {
+  VerifyReport Report;
+  Report.Strat = Plan.Strat;
+  verifyCombineLegality(Ctx, Plan, Opts, Report);
   return Report;
 }

@@ -10,8 +10,8 @@
 /// *must-availability* analysis over the augmented CFG that independently
 /// re-derives, per program point, which (array, section, mapping) facts a
 /// communication plan makes available — and checks the paper's correctness
-/// claims (4.1/4.7) as genuine all-paths dataflow properties instead of the
-/// dominance projections PlanAudit uses.
+/// claims (4.1/4.7) as genuine all-paths dataflow properties rather than
+/// dominance projections of them.
 ///
 /// One fact is tracked per non-reduction plan entry: "the section this
 /// entry's serving group communicates is available". Facts are GENned at the
@@ -31,21 +31,23 @@
 ///    chain the placement's chain does not prefix (the descriptor's
 ///    variables are out of scope there).
 ///
-/// The meet is intersection; two simultaneous domains separate the checker
-/// families: the *reach* domain (GEN + structural kills) answers "did the
-/// communication fire on every path", and the *avail* domain (+ dependence
-/// kills) answers "and is it still fresh". A use whose fact fails in reach
-/// is an avail-coverage violation; one that reaches but is not avail is an
+/// The meet is intersection; two domains separate the checker families: the
+/// *reach* domain (GEN + structural kills) answers "did the communication
+/// fire on every path", and the *avail* domain (+ dependence kills) answers
+/// "and is it still fresh". A use whose fact fails in reach is an
+/// avail-coverage violation; one that reaches but is not avail is an
 /// avail-freshness violation; the same checks on SubsumedBy-eliminated
-/// entries report avail-redundancy.
+/// entries report avail-redundancy. Each domain is solved on its first
+/// query: every check reads avail, and reach is read only to classify a
+/// failed avail query, so a clean plan never solves reach.
 ///
-/// Unlike the audit, the CFG fixed point is path-sensitive across disjoint
-/// IF arms for free: a definition inside one branch only kills along that
-/// branch, with no branch-signature machinery.
+/// Unlike a dominator-tree check, the CFG fixed point is path-sensitive
+/// across disjoint IF arms for free: a definition inside one branch only
+/// kills along that branch, with no branch-signature machinery.
 ///
 /// Shares no code with core/Placement or core/EarliestLatest: only the IR,
-/// the CFG, the section algebra, and DepTester (the primitives the ISSUE
-/// grants both sides).
+/// the CFG, the section algebra, and DepTester (the primitives both sides
+/// may use).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,9 +63,11 @@
 namespace gca {
 
 /// The availability fixed point of one plan over one routine's CFG.
-/// Construction builds the GEN/KILL tables and solves both domains; check()
-/// then runs the three dataflow checker families, and partiallyDeadGroups()
-/// exposes the consumption analysis the [dead-comm] lint rule is built on.
+/// Construction builds the GEN/KILL tables; check() runs the three dataflow
+/// checker families, solving each domain the first time it queries it, and
+/// partiallyDeadGroups() exposes the consumption analysis the [dead-comm]
+/// lint rule is built on (it queries, and so solves, neither domain). Not
+/// safe to use from two threads at once.
 class AvailDataflow {
 public:
   AvailDataflow(const AnalysisContext &Ctx, const CommPlan &Plan);
@@ -93,14 +97,21 @@ private:
 };
 
 /// The complete verifier: structural IR checks (verifyIr), plan
-/// cross-reference integrity (verifyPlanIntegrity), and the availability
-/// dataflow families, in one report. Exports `verify.dataflow-facts`,
-/// `verify.checks`, and `verify.violations` through \p Opts.Stats; when
-/// \p Diags is non-null every violation is additionally reported as an
-/// error at the offending use.
+/// cross-reference integrity (verifyPlanIntegrity), combining legality under
+/// \p Opts (verifyCombineLegality), and the availability dataflow families,
+/// in one report. Exports `verify.dataflow-facts`, `verify.checks`, and
+/// `verify.violations` through \p Opts.Stats; when \p Diags is non-null
+/// every violation is additionally reported as an error at the offending
+/// use.
 VerifyReport verifyPlan(const AnalysisContext &Ctx, const CommPlan &Plan,
                         const PlacementOptions &Opts,
                         DiagEngine *Diags = nullptr);
+
+/// verifyCombineLegality alone, in a report of its own. Its only caller is
+/// perfbench's layer sweep (perfbench/harness/Batch.cpp), which times it as
+/// `analysis.audit`; it exports no counters.
+VerifyReport auditPlan(const AnalysisContext &Ctx, const CommPlan &Plan,
+                       const PlacementOptions &Opts);
 
 } // namespace gca
 

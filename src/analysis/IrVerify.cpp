@@ -7,9 +7,12 @@
 
 #include "analysis/IrVerify.h"
 
+#include "core/Detect.h"
+#include "core/Placement.h"
 #include "support/StrUtil.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 
 using namespace gca;
@@ -24,6 +27,8 @@ const char *gca::verifyRuleName(VerifyRule Rule) {
     return "plan-integrity";
   case VerifyRule::DecisionLog:
     return "decision-log";
+  case VerifyRule::CombineLegality:
+    return "combine-legality";
   case VerifyRule::AvailCoverage:
     return "avail-coverage";
   case VerifyRule::AvailFreshness:
@@ -317,6 +322,8 @@ void checkPlan(const AnalysisContext &Ctx, const CommPlan &Plan,
   int NumGroups = static_cast<int>(Plan.Groups.size());
 
   std::vector<int> MemberOf(NumEntries, -1), AttachedTo(NumEntries, -1);
+  // Loop variables bound at the current group's placement point.
+  std::vector<char> InScope(Ctx.R.loopVarNames().size(), 0);
   for (const CommGroup &Grp : Plan.Groups) {
     auto bad = [&](int Entry, std::string Msg) {
       violate(Report, VerifyRule::PlanIntegrity, Entry, Grp.Id,
@@ -379,17 +386,17 @@ void checkPlan(const AnalysisContext &Ctx, const CommPlan &Plan,
     // Descriptor sections may only mention loop variables bound by loops
     // enclosing the placement point — a deeper loop's variable has no value
     // there, so a section parameterized by it describes nothing.
-    std::set<int> InScope;
-    if (Grp.Placement.Node >= 0 &&
-        Grp.Placement.Node < static_cast<int>(G.numNodes()))
-      for (int C = G.loopOf(Grp.Placement.Node); C >= 0;
-           C = G.loop(C).Parent)
-        InScope.insert(G.loop(C).L->var());
+    int PlaceLoop = Grp.Placement.Node >= 0 &&
+                            Grp.Placement.Node < static_cast<int>(G.numNodes())
+                        ? G.loopOf(Grp.Placement.Node)
+                        : -1;
+    for (int C = PlaceLoop; C >= 0; C = G.loop(C).Parent)
+      InScope[G.loop(C).L->var()] = 1;
     for (size_t I = 0; I != Grp.Data.size(); ++I) {
       for (unsigned Dim = 0; Dim != Grp.Data[I].D.rank(); ++Dim) {
         const SecDim &SD = Grp.Data[I].D.dim(Dim);
         for (const AffineExpr *E : {&SD.Lo, &SD.Hi})
-          for (int V : E->vars()) {
+          for (const auto &[V, Coeff] : E->terms()) {
             ++Report.Checks;
             if (V < 0 ||
                 V >= static_cast<int>(Ctx.R.loopVarNames().size())) {
@@ -398,7 +405,7 @@ void checkPlan(const AnalysisContext &Ctx, const CommPlan &Plan,
                                 Grp.Id, static_cast<int>(I), V));
               continue;
             }
-            if (!InScope.count(V) && Ctx.varLoop(V) != nullptr)
+            if (!InScope[V] && Ctx.varLoop(V) != nullptr)
               bad(-1, strFormat("group %d descriptor %d mentions loop "
                                 "variable '%s', which is not in scope at "
                                 "(B%d,%d)",
@@ -408,6 +415,8 @@ void checkPlan(const AnalysisContext &Ctx, const CommPlan &Plan,
           }
       }
     }
+    for (int C = PlaceLoop; C >= 0; C = G.loop(C).Parent)
+      InScope[G.loop(C).L->var()] = 0;
   }
 
   for (const CommEntry &E : Plan.Entries) {
@@ -550,6 +559,82 @@ void checkDecisions(const CommPlan &Plan, VerifyReport &Report) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Combining legality (Section 4.7)
+//===----------------------------------------------------------------------===//
+
+void checkCombining(const AnalysisContext &Ctx, const CommPlan &Plan,
+                    const PlacementOptions &Opts, VerifyReport &Report) {
+  int NumEntries = static_cast<int>(Plan.Entries.size());
+  std::vector<const CommEntry *> Members;
+  for (const CommGroup &Grp : Plan.Groups) {
+    if (!validSlot(Ctx.G, Grp.Placement))
+      continue;
+    auto bad = [&](const CommEntry &E, std::string Msg) {
+      violate(Report, VerifyRule::CombineLegality, E.Id, Grp.Id, locOf(E),
+              std::move(Msg));
+    };
+    auto checkMapping = [&](const CommEntry &E) {
+      Report.Checks += 2;
+      if (E.M.Kind != Grp.Kind)
+        bad(E, strFormat("entry %d (%s) combined into a %s group", E.Id,
+                         commKindName(E.M.Kind), commKindName(Grp.Kind)));
+      else if (!E.M.compatibleWith(Grp.M))
+        bad(E, strFormat("entry %d's mapping %s is incompatible with "
+                         "group %d's %s",
+                         E.Id, E.M.str().c_str(), Grp.Id,
+                         Grp.M.str().c_str()));
+      // The group's widened mapping must reach at least as far as every
+      // contributor (the overlap region serves the widest shift).
+      for (size_t K = 0; K < E.M.Offsets.size() && K < Grp.M.Offsets.size();
+           ++K)
+        if (std::llabs(E.M.Offsets[K]) > std::llabs(Grp.M.Offsets[K]))
+          bad(E, strFormat("group %d's shift reaches %lld along template "
+                           "dim %u but entry %d needs %lld",
+                           Grp.Id, static_cast<long long>(Grp.M.Offsets[K]),
+                           static_cast<unsigned>(K), E.Id,
+                           static_cast<long long>(E.M.Offsets[K])));
+    };
+    Members.clear();
+    for (int Id : Grp.Members)
+      if (Id >= 0 && Id < NumEntries)
+        Members.push_back(&Plan.Entries[Id]);
+    for (const CommEntry *E : Members) {
+      checkMapping(*E);
+      // The final position must be common to every member's original
+      // placement range (the latest-common-position rule).
+      ++Report.Checks;
+      if (std::find(E->OriginalCandidates.begin(),
+                    E->OriginalCandidates.end(),
+                    Grp.Placement) == E->OriginalCandidates.end())
+        bad(*E, strFormat("group %d placed at (B%d,%d), which is not a "
+                          "legal placement point of member entry %d",
+                          Grp.Id, Grp.Placement.Node, Grp.Placement.Index,
+                          E->Id));
+    }
+    for (int Id : Grp.Attached)
+      if (Id >= 0 && Id < NumEntries)
+        checkMapping(Plan.Entries[Id]);
+    // The size threshold gates *combined* messages only; a lone oversized
+    // message is legal (there is nothing to split).
+    if (Grp.Kind == CommKind::Reduce || Members.size() < 2)
+      continue;
+    ++Report.Checks;
+    int Level = Ctx.slotLevel(Grp.Placement);
+    int64_t Bytes = 0;
+    for (const CommEntry *E : Members)
+      Bytes += estimatePerProcBytes(Ctx, asdOfEntry(Ctx, *E, Level),
+                                    Opts.NumProcs);
+    if (Bytes > Opts.CombineThresholdBytes)
+      violate(Report, VerifyRule::CombineLegality, -1, Grp.Id,
+              locOf(*Members.front()),
+              strFormat("group %d combines %lld bytes per processor, over "
+                        "the %lld byte threshold",
+                        Grp.Id, static_cast<long long>(Bytes),
+                        static_cast<long long>(Opts.CombineThresholdBytes)));
+  }
+}
+
 } // namespace
 
 void gca::verifyIr(const Routine &R, const Cfg &G, const Ssa &S,
@@ -563,4 +648,11 @@ void gca::verifyPlanIntegrity(const AnalysisContext &Ctx,
                               const CommPlan &Plan, VerifyReport &Report) {
   checkPlan(Ctx, Plan, Report);
   checkDecisions(Plan, Report);
+}
+
+void gca::verifyCombineLegality(const AnalysisContext &Ctx,
+                                const CommPlan &Plan,
+                                const PlacementOptions &Opts,
+                                VerifyReport &Report) {
+  checkCombining(Ctx, Plan, Opts, Report);
 }

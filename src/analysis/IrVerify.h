@@ -17,10 +17,17 @@
 /// log consistency). It is cheap enough to run between every pass
 /// (`--verify=each`); the dataflow half lives in analysis/AvailDataflow.h.
 ///
+/// The combining rule of Section 4.7 (combine-legality) is checked here
+/// too, but only on final plans: it needs the PlacementOptions the plan was
+/// built under. Its size threshold is *defined* by estimatePerProcBytes over
+/// asdOfEntry (core/Placement.h, core/Detect.h), so unlike every other
+/// check this one calls the placement engine's own estimator instead of
+/// re-deriving the quantity.
+///
 /// Violations are reported through the shared VerifyReport, which both
 /// halves append to; rule names distinguish the layers
-/// (cfg-structure/ssa-form/plan-integrity/decision-log here,
-/// avail-coverage/avail-freshness/avail-redundancy in the dataflow).
+/// (cfg-structure/ssa-form/plan-integrity/decision-log/combine-legality
+/// here, avail-coverage/avail-freshness/avail-redundancy in the dataflow).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,13 +44,15 @@
 namespace gca {
 
 /// The invariant families of the translation-validation layer. The first
-/// four are structural (IrVerify.cpp); the avail-* rules are the dataflow
+/// five are structural (IrVerify.cpp); the avail-* rules are the dataflow
 /// checker families of AvailDataflow.cpp.
 enum class VerifyRule : uint8_t {
   CfgStructure,    ///< Augmented-CFG well-formedness (Figure 7 shape).
   SsaForm,         ///< Array-SSA invariants (Section 4.1).
   PlanIntegrity,   ///< Plan cross-reference and scoping integrity.
   DecisionLog,     ///< Decision log consistent with the plan it explains.
+  CombineLegality, ///< Combining rule: kinds, mappings, common position,
+                   ///< size threshold (Section 4.7).
   AvailCoverage,   ///< All-paths availability of every live use's section.
   AvailFreshness,  ///< No feasible def postdates the serving communication.
   AvailRedundancy, ///< Eliminated entries are must-available at their use.
@@ -90,6 +99,17 @@ void verifyIr(const Routine &R, const Cfg &G, const Ssa &S,
 /// log/plan consistency.
 void verifyPlanIntegrity(const AnalysisContext &Ctx, const CommPlan &Plan,
                          VerifyReport &Report);
+
+/// Verifies that every group of \p Plan combines legally under \p Opts: each
+/// member's (and attached entry's) kind equals the group's, its mapping is
+/// compatible with the group's and within reach of the group's shift, the
+/// group's slot is one of each member's OriginalCandidates (the
+/// latest-common-position rule), and a combined payload stays within
+/// Opts.CombineThresholdBytes. Groups placed outside the CFG and member ids
+/// out of range are skipped: verifyPlanIntegrity reports both.
+void verifyCombineLegality(const AnalysisContext &Ctx, const CommPlan &Plan,
+                           const PlacementOptions &Opts,
+                           VerifyReport &Report);
 
 } // namespace gca
 

@@ -273,9 +273,9 @@ struct PlacementOptions {
   /// before the first read of the result scalar, letting reductions
   /// computed at different statements combine. Global/Optimal only.
   bool DeferReductions = false;
-  /// When non-null, the placement and audit phases export their counters
+  /// When non-null, the placement and verify phases export their counters
   /// (entries detected, subset/redundancy eliminations, combined groups,
-  /// rules checked) here. Owned by the caller — typically the compilation
+  /// checks evaluated) here. Owned by the caller — typically the compilation
   /// Session — so concurrent compilations never share a registry.
   StatsRegistry *Stats = nullptr;
 };

@@ -24,31 +24,38 @@ void AnalysisContext::initVarInfo() {
   }
 }
 
-AffineExpr AnalysisContext::expandBound(AffineExpr E, int Level,
+AffineExpr AnalysisContext::expandBound(const AffineExpr &E, int Level,
                                         bool Low) const {
   // Repeatedly substitute the deepest too-deep variable by the loop bound
   // that extremizes the expression. Loop bounds only mention shallower
-  // variables, so this terminates.
+  // variables, so this terminates. E is copied only when nothing in it
+  // needs expanding; otherwise the substitutions build the result.
+  AffineExpr Out;
+  const AffineExpr *Cur = &E;
   while (true) {
     int Deepest = -1;
     int DeepestLevel = Level;
-    for (int V : E.vars()) {
-      if (VarLevel[V] > DeepestLevel) {
-        DeepestLevel = VarLevel[V];
-        Deepest = V;
+    for (const auto &Term : Cur->terms()) {
+      if (VarLevel[Term.first] > DeepestLevel) {
+        DeepestLevel = VarLevel[Term.first];
+        Deepest = Term.first;
       }
     }
     if (Deepest < 0)
-      return E;
+      break;
     const LoopStmt *L = VarLoop[Deepest];
     assert(L && "loop variable without a loop");
     assert(L->step() > 0 && "section expansion requires positive loop steps");
-    int64_t C = E.coeff(Deepest);
+    int64_t C = Cur->coeff(Deepest);
     // For a lower bound: positive coefficient wants the loop minimum.
     const AffineExpr &Repl =
         ((C > 0) == Low) ? L->lo() : L->hi();
-    E = E.substitute(Deepest, Repl);
+    Out = Cur->substitute(Deepest, Repl);
+    Cur = &Out;
   }
+  if (Cur == &E)
+    return E;
+  return Out;
 }
 
 RegSection AnalysisContext::sectionOfRef(const ArrayRef &Ref,
@@ -56,33 +63,24 @@ RegSection AnalysisContext::sectionOfRef(const ArrayRef &Ref,
   std::vector<SecDim> Dims;
   Dims.reserve(Ref.Subs.size());
   for (const Subscript &Sub : Ref.Subs) {
-    SecDim D;
-    if (Sub.isElem()) {
-      D.Lo = Sub.Lo;
-      D.Hi = Sub.Lo;
-      D.Step = 1;
-    } else {
-      D.Lo = Sub.Lo;
-      D.Hi = Sub.Hi;
-      D.Step = Sub.Step;
-    }
     // Stride contributed by expanded variables: gcd of their coefficients
     // (and the existing step for ranges).
     int64_t Stride = Sub.isRange() ? std::llabs(Sub.Step) : 0;
     bool Expanded = false;
-    for (int V : D.Lo.vars()) {
+    for (const auto &[V, Coeff] : Sub.Lo.terms()) {
       if (VarLevel[V] > Level) {
-        Stride = std::gcd(Stride, std::llabs(D.Lo.coeff(V)) *
+        Stride = std::gcd(Stride, std::llabs(Coeff) *
                                       std::llabs(VarLoop[V]->step()));
         Expanded = true;
       }
     }
-    D.Lo = expandBound(D.Lo, Level, /*Low=*/true);
-    D.Hi = expandBound(D.Hi, Level, /*Low=*/false);
     if (Sub.isElem() && !Expanded)
       Stride = 1; // Single element per enclosing iteration.
     if (Stride == 0)
       Stride = 1;
+    SecDim D;
+    D.Lo = expandBound(Sub.Lo, Level, /*Low=*/true);
+    D.Hi = expandBound(Sub.isElem() ? Sub.Lo : Sub.Hi, Level, /*Low=*/false);
     D.Step = Stride;
     Dims.push_back(std::move(D));
   }

@@ -66,7 +66,7 @@ private:
   void initVarInfo();
   /// Expands every variable of level > \p Level out of \p E, steering toward
   /// the minimum (\p Low = true) or maximum of the expression.
-  AffineExpr expandBound(AffineExpr E, int Level, bool Low) const;
+  AffineExpr expandBound(const AffineExpr &E, int Level, bool Low) const;
 
   std::vector<int> VarLevel;
   std::vector<const LoopStmt *> VarLoop;

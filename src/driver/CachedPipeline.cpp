@@ -14,7 +14,7 @@
 
 using namespace gca;
 
-const char *const gca::kGcaCacheVersion = "gcomm-cache-6";
+const char *const gca::kGcaCacheVersion = "gcomm-cache-7";
 
 std::string gca::optionsFingerprint(const CompileOptions &Opts) {
   const PlacementOptions &P = Opts.Placement;
@@ -32,7 +32,6 @@ std::string gca::optionsFingerprint(const CompileOptions &Opts) {
   S += strFormat("defer-reductions=%d\n", P.DeferReductions ? 1 : 0);
   S += strFormat("scalarize=%d\n", Opts.Scalarize ? 1 : 0);
   S += strFormat("fuse-loops=%d\n", Opts.FuseLoops ? 1 : 0);
-  S += strFormat("audit=%d\n", Opts.Audit ? 1 : 0);
   S += strFormat("verify=%d\n", static_cast<int>(Opts.Verify));
   S += strFormat("lint=%d\n", Opts.Lint ? 1 : 0);
   S += "machine=" + Opts.Machine + "\n";
@@ -66,7 +65,6 @@ CacheKey gca::compileCacheKey(const std::string &Source,
 CachedResult gca::harvestSession(Session &S) {
   CachedResult R;
   R.Ok = S.Result.Ok;
-  R.AuditOk = S.Result.AuditOk;
   R.VerifyOk = S.Result.VerifyOk;
   R.Errors = S.Result.Errors;
   // Matches Session::take(): diagnostics render only for successful runs

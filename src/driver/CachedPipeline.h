@@ -11,10 +11,10 @@
 ///
 /// Cache-key discipline: the key must capture EVERY input that can change a
 /// compilation's output — the exact source bytes, the full, canonically
-/// normalized CompileOptions (strategy, thresholds, extension toggles, audit
-/// and lint switches, dump-after selector, param overrides sorted by name
-/// and default-filled), the pipeline's pass-list fingerprint, and the tool
-/// version string. Any new pass or option MUST be folded into
+/// normalized CompileOptions (strategy, thresholds, extension toggles,
+/// verify and lint switches, dump-after selector, param overrides sorted by
+/// name and default-filled), the pipeline's pass-list fingerprint, and the
+/// tool version string. Any new pass or option MUST be folded into
 /// optionsFingerprint()/pipelineFingerprint(), or warm replays silently go
 /// stale; tests/test_cache.cpp enumerates option flips to enforce this.
 ///

@@ -16,7 +16,6 @@
 #define GCA_DRIVER_COMPILE_H
 
 #include "analysis/IrVerify.h"
-#include "analysis/PlanAudit.h"
 #include "core/Placement.h"
 #include "frontend/Parser.h"
 #include "lower/Lower.h"
@@ -48,18 +47,11 @@ struct CompileOptions {
   /// paper's Section 2.3 notes "is not always possible"); off by default to
   /// match the pHPF pipeline.
   bool FuseLoops = false;
-  /// Statically audit every produced plan (analysis/PlanAudit.h); violations
-  /// land in CompileResult::Diagnostics and clear AuditOk. On by default in
-  /// asserts-enabled builds, matching the cost profile of assertions.
-#ifdef NDEBUG
-  bool Audit = false;
-#else
-  bool Audit = true;
-#endif
   /// Translation validation: independently re-verify every produced plan
-  /// with the availability dataflow and the structural IR verifier;
-  /// violations land in CompileResult::Diagnostics and clear VerifyOk. Like
-  /// Audit, on by default in asserts-enabled builds.
+  /// with the structural IR verifier, the combining rule, and the
+  /// availability dataflow; violations land in CompileResult::Diagnostics
+  /// and clear VerifyOk. On by default in asserts-enabled builds, matching
+  /// the cost profile of assertions.
 #ifdef NDEBUG
   VerifyMode Verify = VerifyMode::Off;
 #else
@@ -73,9 +65,9 @@ struct CompileOptions {
   /// compilation error listing the registry.
   std::string Machine = "sp2";
   /// Name of a pipeline pass ("parse", "scalarize", "fuse", "build-context",
-  /// "placement", "lower", "audit", "verify", "lint", or "all") after which
-  /// the session records
-  /// a dump of the program and any plans (Session::Dumps). Empty = never.
+  /// "placement", "lower", "verify", "lint", or "all") after which the
+  /// session records a dump of the program and any plans (Session::Dumps).
+  /// Empty = never.
   std::string DumpAfter;
 };
 
@@ -87,8 +79,6 @@ struct RoutineResult {
   /// The collective lowering of Plan under CompileOptions::Machine
   /// (lower/Lower.h), populated by the "lower" pass.
   PlanLowering Lowering;
-  /// Populated when CompileOptions::Audit is set.
-  AuditReport Audit;
   /// Populated when CompileOptions::Verify is not Off.
   VerifyReport Verify;
 };
@@ -96,14 +86,12 @@ struct RoutineResult {
 /// Results for one compilation.
 struct CompileResult {
   bool Ok = false;
-  /// False when the plan auditor found violations in some routine.
-  bool AuditOk = true;
   /// False when the translation-validation verifier found violations in
   /// some routine (or some pass left the IR structurally broken).
   bool VerifyOk = true;
   std::string Errors;
   /// Rendered non-fatal diagnostics (DiagEngine::str() format): frontend
-  /// warnings/notes followed by audit errors and lint warnings.
+  /// warnings/notes followed by verify errors and lint warnings.
   std::string Diagnostics;
   std::unique_ptr<Program> Prog;
   std::vector<RoutineResult> Routines;

@@ -169,7 +169,7 @@ static void traceDecisions(const Routine &R, const CommPlan &Plan,
 // encoding must not corrupt one that is not); counters encode as
 // "<value> <name>" lines, zero values included, because a counter a pass
 // merely touched still shows in --stats. A failed segment marks a routine
-// whose verdict for the pass (audit, verify) was negative. Replay
+// whose verdict for the pass (verify) was negative. Replay
 // re-appends the diagnostics through DiagEngine::append — emission order
 // and the error tally survive — and re-adds the counters inside the pass
 // that originally produced them, so per-pass counter attribution in the
@@ -301,20 +301,6 @@ static bool passLower(Session &S) {
   return true;
 }
 
-static bool passAudit(Session &S) {
-  if (!S.Opts.Audit)
-    return true;
-  PlacementOptions POpts = S.Opts.Placement;
-  bool Ok = S.forEachRoutine("audit", [&](size_t I, StatsRegistry &Stats) {
-    RoutineResult &RR = S.Result.Routines[I];
-    POpts.Stats = &Stats;
-    RR.Audit = auditPlan(*RR.Ctx, RR.Plan, POpts, &S.Diags);
-    return RR.Audit.ok();
-  });
-  S.Result.AuditOk = S.Result.AuditOk && Ok;
-  return true;
-}
-
 static bool passVerify(Session &S) {
   if (S.Opts.Verify == VerifyMode::Off)
     return true;
@@ -353,12 +339,20 @@ const Pipeline &Pipeline::standard() {
         .add("build-context", passBuildContext)
         .add("placement", passPlacement)
         .add("lower", passLower)
-        .add("audit", passAudit)
         .add("verify", passVerify)
         .add("lint", passLint);
     return P;
   }();
   return P;
+}
+
+bool gca::isDumpAfterName(const std::string &Name) {
+  if (Name == "all")
+    return true;
+  for (const Pass &P : Pipeline::standard().passes())
+    if (P.Name == Name)
+      return true;
+  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -409,7 +403,6 @@ CompileResult Session::take() {
 
 void Session::replayResult(const CachedResult &R) {
   Result.Ok = R.Ok;
-  Result.AuditOk = R.AuditOk;
   Result.VerifyOk = R.VerifyOk;
   Result.Errors = R.Errors;
   Result.Diagnostics = R.Diagnostics;

@@ -13,11 +13,11 @@
 /// threads with no shared mutable state. A Pipeline is an ordered list of
 /// named Pass objects; the standard pipeline is
 ///
-///   parse -> scalarize -> fuse -> build-context -> placement -> audit
+///   parse -> scalarize -> fuse -> build-context -> placement -> lower
 ///     -> verify -> lint
 ///
-/// where option-gated passes (scalarize, fuse, audit, verify, lint) are
-/// no-ops when disabled, keeping pass names stable for dump-after hooks. The pipeline
+/// where option-gated passes (scalarize, fuse, verify, lint) are no-ops
+/// when disabled, keeping pass names stable for dump-after hooks. The pipeline
 /// runner times every pass (wall + thread CPU), snapshots the counter
 /// registry around it so increments are attributed to the pass that made
 /// them, and records dumps after the pass named by CompileOptions::DumpAfter.
@@ -84,6 +84,10 @@ public:
 private:
   std::vector<Pass> Passes;
 };
+
+/// True when \p Name is a pass of Pipeline::standard() or "all": the
+/// dump-after selectors the CLI and the compile server accept.
+bool isDumpAfterName(const std::string &Name);
 
 /// All state for one compilation of one source buffer.
 class Session {
@@ -172,7 +176,7 @@ public:
   /// the payload of dump-after records.
   std::string dump() const;
 
-  /// Hierarchical per-pass (and per-routine, under placement/audit/lint)
+  /// Hierarchical per-pass (and per-routine, under placement/verify/lint)
   /// time report.
   std::string timeReport() const { return Times.report(); }
 
@@ -184,7 +188,7 @@ public:
   std::string Source;
 
   /// Accumulates across the whole run — frontend warnings are *kept* when
-  /// audit/lint run later (they all render into Result.Diagnostics).
+  /// verify/lint run later (they all render into Result.Diagnostics).
   DiagEngine Diags;
   StatsRegistry Stats;
   TimeTrace Times;

@@ -74,12 +74,6 @@ bool parseOptions(const JsonValue &Doc, CompileOptions &Opts,
         return false;
       }
       Opts.FuseLoops = V.boolValue();
-    } else if (Key == "audit") {
-      if (!V.isBool()) {
-        Err = "'audit' must be a bool";
-        return false;
-      }
-      Opts.Audit = V.boolValue();
     } else if (Key == "lint") {
       if (!V.isBool()) {
         Err = "'lint' must be a bool";
@@ -117,6 +111,10 @@ bool parseOptions(const JsonValue &Doc, CompileOptions &Opts,
     } else if (Key == "dump_after") {
       if (!V.isString()) {
         Err = "'dump_after' must be a string";
+        return false;
+      }
+      if (!isDumpAfterName(V.stringValue())) {
+        Err = "invalid 'dump_after'";
         return false;
       }
       Opts.DumpAfter = V.stringValue();
@@ -232,7 +230,6 @@ std::string buildCompileRequestJson(const CompileRequest &Req) {
   W.key("strategy").value(strategyName(Req.Opts.Placement.Strat));
   W.key("scalarize").value(Req.Opts.Scalarize);
   W.key("fuse").value(Req.Opts.FuseLoops);
-  W.key("audit").value(Req.Opts.Audit);
   W.key("lint").value(Req.Opts.Lint);
   W.key("verify").value(verifyModeName(Req.Opts.Verify));
   W.key("defer_reductions").value(Req.Opts.Placement.DeferReductions);
@@ -290,7 +287,7 @@ CompileOutcome runCompileRequest(const CompileRequest &Req,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
   Out.CacheHit = CacheHit;
-  Out.Failed = !R.Ok || !R.AuditOk || !R.VerifyOk;
+  Out.Failed = !R.Ok || !R.VerifyOk;
   Out.Output = renderCompileOutput(Req.Name, S, R, Req.PrintPlans, Req.Stats,
                                    /*DumpDecisions=*/false);
   return Out;

@@ -19,12 +19,13 @@
 ///   compile request:
 ///     {"id":N, "name":"...", "source":"...", "stats":false, "plans":true,
 ///      "options":{"strategy":"comb", "scalarize":true, "fuse":false,
-///                 "audit":true, "lint":false, "verify":"final",
+///                 "lint":false, "verify":"final",
 ///                 "defer_reductions":false, "partial_redundancy":false,
-///                 "params":{"n":64}}}
+///                 "dump_after":"placement", "params":{"n":64}}}
 ///     Every field except "source" is optional; omitted options take the
-///     CompileOptions defaults. Unknown keys are rejected (strictness is
-///     the protocol fuzzer's oracle).
+///     CompileOptions defaults. Unknown keys, and a "dump_after" that names
+///     no pass of the standard pipeline (or "all"), are rejected
+///     (strictness is the protocol fuzzer's oracle).
 ///   control requests:
 ///     {"cmd":"ping"}                        liveness probe
 ///     {"cmd":"metrics","format":"json"}     MetricsSnapshot (or
@@ -33,7 +34,7 @@
 ///   response:
 ///     {"id":N, "status":"ok", "output":"...", "cache_hit":false,
 ///      "wall_s":0.012}
-///     status ∈ ok | error (compile/audit/verify failure; output holds the
+///     status ∈ ok | error (compile/verify failure; output holds the
 ///     diagnostics) | bad-request | overloaded (admission queue full) |
 ///     timeout (deadline passed before a worker picked it up) | draining
 ///     (drain in progress; request rejected) | bad-frame.
@@ -110,8 +111,8 @@ std::string buildCompileRequestJson(const CompileRequest &Req);
 
 /// Everything one compile request produced.
 struct CompileOutcome {
-  /// Compile error, audit violation, or translation-validation failure —
-  /// the conditions that make one-shot gca-compile exit nonzero.
+  /// Compile error or translation-validation failure — the conditions
+  /// that make one-shot gca-compile exit nonzero.
   bool Failed = false;
   bool CacheHit = false;
   double WallSec = 0;

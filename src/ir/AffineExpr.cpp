@@ -78,9 +78,30 @@ AffineExpr AffineExpr::substitute(int VarId, const AffineExpr &Repl) const {
   int64_t C = coeff(VarId);
   if (C == 0)
     return *this;
-  AffineExpr Out = *this;
-  Out.addTerm(VarId, -C);
-  return Out + Repl * C;
+  // Merges the other terms with C * Repl's, both sorted by variable id,
+  // summing equal ids and dropping zeros: the terms of
+  // (*this - C * var) + Repl * C, built without temporaries, so a result
+  // whose terms all cancel allocates nothing.
+  AffineExpr Out;
+  Out.Const = Const + Repl.Const * C;
+  auto A = Terms.begin(), AEnd = Terms.end();
+  auto B = Repl.Terms.begin(), BEnd = Repl.Terms.end();
+  while (A != AEnd || B != BEnd) {
+    if (A != AEnd && A->first == VarId) {
+      ++A;
+    } else if (B == BEnd || (A != AEnd && A->first < B->first)) {
+      Out.Terms.push_back(*A++);
+    } else {
+      int Id = B->first;
+      int64_t Coeff = B->second * C;
+      ++B;
+      if (A != AEnd && A->first == Id)
+        Coeff += (A++)->second;
+      if (Coeff != 0)
+        Out.Terms.emplace_back(Id, Coeff);
+    }
+  }
+  return Out;
 }
 
 AffineExpr AffineExpr::operator+(const AffineExpr &RHS) const {

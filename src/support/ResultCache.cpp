@@ -153,8 +153,7 @@ bool readPairList(Reader &R, const char *ListTag,
 
 std::string CachedResult::serialize() const {
   std::string S = "GCACHE2\n";
-  S += strFormat("flags %d %d %d\n", Ok ? 1 : 0, AuditOk ? 1 : 0,
-                 VerifyOk ? 1 : 0);
+  S += strFormat("flags %d %d\n", Ok ? 1 : 0, VerifyOk ? 1 : 0);
   appendBlob(S, "errors", Errors);
   appendBlob(S, "diagnostics", Diagnostics);
   S += strFormat("plans %zu\n", Plans.size());
@@ -183,14 +182,12 @@ std::optional<CachedResult> CachedResult::deserialize(const std::string &S) {
   std::string Line;
   if (!R.line(Line) || Line != "GCACHE2")
     return std::nullopt;
-  if (!R.line(Line) || Line.rfind("flags ", 0) != 0 || Line.size() != 11 ||
+  if (!R.line(Line) || Line.rfind("flags ", 0) != 0 || Line.size() != 9 ||
       (Line[6] != '0' && Line[6] != '1') || Line[7] != ' ' ||
-      (Line[8] != '0' && Line[8] != '1') || Line[9] != ' ' ||
-      (Line[10] != '0' && Line[10] != '1'))
+      (Line[8] != '0' && Line[8] != '1'))
     return std::nullopt;
   Out.Ok = Line[6] == '1';
-  Out.AuditOk = Line[8] == '1';
-  Out.VerifyOk = Line[10] == '1';
+  Out.VerifyOk = Line[8] == '1';
   if (!R.blob("errors", Out.Errors) || !R.blob("diagnostics", Out.Diagnostics))
     return std::nullopt;
   if (!readPairList(R, "plans", Out.Plans) ||

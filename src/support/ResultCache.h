@@ -69,7 +69,6 @@ struct CacheKey {
 /// reproduce bitwise without re-running passes.
 struct CachedResult {
   bool Ok = false;
-  bool AuditOk = true;
   bool VerifyOk = true;
   std::string Errors;
   std::string Diagnostics;

@@ -9,6 +9,7 @@
 
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 using namespace gca;
@@ -109,4 +110,28 @@ std::string gca::formatSeconds(double Seconds) {
   if (Seconds < 1.0)
     return strFormat("%.2f ms", Seconds * 1e3);
   return strFormat("%.3f s", Seconds);
+}
+
+/// std::from_chars over all of \p Text: no prefix or suffix may remain.
+template <typename T> static bool parseWhole(std::string_view Text, T &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Ptr == End;
+}
+
+bool gca::parseCount(std::string_view Text, uint64_t Min, uint64_t Max,
+                     uint64_t &Out) {
+  uint64_t V = 0;
+  if (!parseWhole(Text, V) || V < Min || V > Max)
+    return false;
+  Out = V;
+  return true;
+}
+
+bool gca::parseInt64(std::string_view Text, int64_t &Out) {
+  int64_t V = 0;
+  if (!parseWhole(Text, V))
+    return false;
+  Out = V;
+  return true;
 }

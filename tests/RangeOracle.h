@@ -47,13 +47,12 @@ struct RangeOracleWork {
   int64_t Entries = 0;
 };
 
-/// Compiles \p Src under \p Opts (audit, verification and lint off: the
+/// Compiles \p Src under \p Opts (verification and lint off: the
 /// oracle checks the range analysis only) and compares the two range
 /// analyses on every entry; \p What names the input in failure messages.
 inline RangeOracleWork expectRangeMatchesReference(const std::string &Src,
                                                    CompileOptions Opts,
                                                    const std::string &What) {
-  Opts.Audit = false;
   Opts.Verify = VerifyMode::Off;
   Opts.Lint = false;
   RangeOracleWork Work;

@@ -44,7 +44,6 @@ namespace {
 /// Everything observable from one compilation, rendered for comparison.
 struct Observed {
   bool Ok = false;
-  bool AuditOk = true;
   bool VerifyOk = true;
   std::string Errors;
   std::string Diagnostics;
@@ -64,7 +63,6 @@ Observed observe(Session &S) {
   Observed Out;
   CompileResult R = S.take();
   Out.Ok = R.Ok;
-  Out.AuditOk = R.AuditOk;
   Out.VerifyOk = R.VerifyOk;
   Out.Errors = R.Errors;
   Out.Diagnostics = R.Diagnostics;
@@ -81,7 +79,6 @@ Observed observe(Session &S) {
 CompileOptions fullOptions(Strategy Strat) {
   CompileOptions Opts;
   Opts.Placement.Strat = Strat;
-  Opts.Audit = true;
   Opts.Lint = true;
   Opts.DumpAfter = "placement";
   return Opts;
@@ -110,7 +107,7 @@ std::filesystem::path onlyCacheFile(const std::string &Dir) {
 CachedResult sampleResult() {
   CachedResult R;
   R.Ok = true;
-  R.AuditOk = false;
+  R.VerifyOk = false;
   R.Errors = "";
   R.Diagnostics = "warning: something\nnote: with\nnewlines\n";
   R.Plans = {{"main", "plan text\nwith lines\n"}, {"aux", ""}};
@@ -144,7 +141,7 @@ TEST_P(CacheDifferential, WarmReplayIsBitwiseIdentical) {
 
     ASSERT_TRUE(C.Ok);
     EXPECT_EQ(C.Ok, H.Ok);
-    EXPECT_EQ(C.AuditOk, H.AuditOk);
+    EXPECT_EQ(C.VerifyOk, H.VerifyOk);
     EXPECT_EQ(C.Errors, H.Errors);
     EXPECT_EQ(C.Diagnostics, H.Diagnostics);
     EXPECT_EQ(C.PlanText, H.PlanText);
@@ -183,7 +180,7 @@ TEST(CacheDifferential, CompileSourceOverloadReplaysDiagnostics) {
   EXPECT_FALSE(Cold.Diagnostics.empty());
   EXPECT_EQ(Cold.Diagnostics, Warm.Diagnostics);
   EXPECT_EQ(Cold.planText(), Warm.planText());
-  EXPECT_EQ(Cold.AuditOk, Warm.AuditOk);
+  EXPECT_EQ(Cold.VerifyOk, Warm.VerifyOk);
 
   // Null cache degrades to the plain overload.
   CompileResult Plain = compileSource(W.Source, Opts, nullptr);
@@ -233,7 +230,6 @@ TEST(CacheKeyTest, EveryOptionFlipChangesTheKey) {
       [](auto &O) { O.Placement.DeferReductions = !O.Placement.DeferReductions; });
   Add("scalarize", [](auto &O) { O.Scalarize = !O.Scalarize; });
   Add("fuse-loops", [](auto &O) { O.FuseLoops = !O.FuseLoops; });
-  Add("audit", [](auto &O) { O.Audit = !O.Audit; });
   Add("lint", [](auto &O) { O.Lint = !O.Lint; });
   Add("dump-after", [](auto &O) { O.DumpAfter = "placement"; });
   Add("param", [](auto &O) { O.Params["n"] = 64; });
@@ -302,7 +298,6 @@ TEST(CacheKeyTest, NormalizationIsCanonical) {
   Explicit.Placement.DeferReductions = false;
   Explicit.Scalarize = Default.Scalarize;
   Explicit.FuseLoops = Default.FuseLoops;
-  Explicit.Audit = Default.Audit;
   Explicit.Lint = Default.Lint;
   Explicit.DumpAfter = "";
   EXPECT_EQ(optionsFingerprint(Default), optionsFingerprint(Explicit));
@@ -632,7 +627,6 @@ Observed compileObserved(const std::string &Src, const CompileOptions &Opts,
 
 CompileOptions routineCacheOptions() {
   CompileOptions Opts;
-  Opts.Audit = true;
   Opts.Lint = true; // No DumpAfter: dump hooks disable routine caching.
   return Opts;
 }
@@ -826,7 +820,7 @@ TEST(RoutineCacheTest, RoutineParamDoesNotLeakIntoLaterRoutines) {
 }
 
 TEST(RoutineCacheTest, ReplayedVerdictsMatchUncached) {
-  // A routine's negative verdict (an audit or verify violation) is one of
+  // A routine's negative verdict (a verify violation) is one of
   // its cached artifacts: a pass that rejects r1 must reject it again when
   // r1 replays from the routine cache.
   Pipeline Checked;
@@ -1140,7 +1134,6 @@ TEST_P(RoutineEditDifferential, CachedEqualsUncachedAtEveryStep) {
     CompileOptions Opts;
     Opts.Placement.Strat = C.Strat;
     Opts.FuseLoops = C.Fuse;
-    Opts.Audit = true;
     Opts.Verify = VerifyMode::Final;
     Opts.Lint = true;
     ResultCache Cache;

@@ -305,7 +305,6 @@ void expectLoweringPricedDirectly(const std::string &Name,
   SCOPED_TRACE(Name + " " + strategyName(Strat));
   CompileOptions Opts;
   Opts.Placement.Strat = Strat;
-  Opts.Audit = false;
   Opts.Verify = VerifyMode::Off;
   CompileResult R = compileSource(Source, Opts);
   ASSERT_TRUE(R.Ok) << R.Errors;

@@ -38,7 +38,6 @@
 #include "FuzzGen.h"
 #include "RangeOracle.h"
 #include "analysis/AvailDataflow.h"
-#include "analysis/PlanAudit.h"
 #include "driver/CachedPipeline.h"
 #include "driver/Compile.h"
 #include "lower/Schedule.h"
@@ -85,12 +84,6 @@ TEST_P(Fuzz, PipelineSafeAndMonotone) {
         }
       }
 
-      // (4) Static audit: the plan's structural invariants re-derived
-      // independently (the fuzz oracle for analysis/PlanAudit.h).
-      AuditReport A = auditPlan(*RR.Ctx, RR.Plan, Opts.Placement);
-      EXPECT_TRUE(A.ok()) << "[" << strategyName(Strats[SI]) << "]\n"
-                          << A.str();
-
       // (5) Translation validation: the independent availability-dataflow
       // verifier must also accept every plan (the fuzz oracle for
       // analysis/AvailDataflow.h).
@@ -119,8 +112,6 @@ TEST_P(Fuzz, PipelineSafeAndMonotone) {
     int Total = 0;
     for (const RoutineResult &RR : R.Routines) {
       Total += RR.Plan.Stats.totalGroups();
-      AuditReport A = auditPlan(*RR.Ctx, RR.Plan, Opts.Placement);
-      EXPECT_TRUE(A.ok()) << "[" << strategyName(S) << "]\n" << A.str();
       VerifyReport VR = verifyPlan(*RR.Ctx, RR.Plan, Opts.Placement);
       EXPECT_TRUE(VR.ok()) << "[" << strategyName(S) << "]\n" << VR.str();
       ExecProgram Prog = ExecProgram::build(*RR.Ctx, RR.Plan);
@@ -134,7 +125,7 @@ TEST_P(Fuzz, PipelineSafeAndMonotone) {
 
   // (4) Result-cache differential: a warm replay of this seed's program
   // must be bitwise-identical to the cold compilation — same diagnostics,
-  // plan text, audit verdict, and counters. The option rotation above keeps
+  // plan text, verify verdict, and counters. The option rotation above keeps
   // the key-normalization path under fuzz too.
   {
     CompileOptions Opts;
@@ -142,7 +133,6 @@ TEST_P(Fuzz, PipelineSafeAndMonotone) {
     Opts.Placement.DeferReductions = Seed % 3 == 0;
     Opts.Placement.PartialRedundancy = Seed % 4 == 0;
     Opts.FuseLoops = Seed % 5 == 0;
-    Opts.Audit = true;
     Opts.Verify = Seed % 2 ? VerifyMode::Final : VerifyMode::Each;
     Opts.Lint = Seed % 2 == 0;
 
@@ -160,7 +150,6 @@ TEST_P(Fuzz, PipelineSafeAndMonotone) {
     ASSERT_TRUE(CR.Ok) << CR.Errors;
     EXPECT_TRUE(WR.Ok);
     EXPECT_TRUE(WR.FromCache);
-    EXPECT_EQ(CR.AuditOk, WR.AuditOk);
     EXPECT_TRUE(CR.VerifyOk);
     EXPECT_EQ(CR.VerifyOk, WR.VerifyOk);
     EXPECT_EQ(CR.Diagnostics, WR.Diagnostics);

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The instrumented pass pipeline of driver/Pipeline.h: determinism of
-// parallel batch compilation, the Scalarize x Fuse x Audit x Lint options
-// matrix, preservation of frontend warnings, lint-baseline reuse, per-pass
-// instrumentation, and dump-after hooks.
+// parallel batch compilation, the Scalarize x Fuse x Lint options matrix
+// under verification, preservation of frontend warnings, lint-baseline
+// reuse, per-pass instrumentation, and dump-after hooks.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +44,6 @@ std::string fingerprint(const std::string &Source,
 TEST(Pipeline, DeterministicSeriallyAndParallel) {
   std::vector<const Workload *> Ws = allWorkloads();
   CompileOptions Opts;
-  Opts.Audit = true;
   Opts.Lint = true;
 
   // Serial reference, computed twice: same source -> same fingerprint.
@@ -66,26 +65,25 @@ TEST(Pipeline, DeterministicSeriallyAndParallel) {
 }
 
 TEST(Pipeline, OptionsMatrixAllSucceed) {
+  // Verify is set explicitly, so Release builds check every configuration
+  // too.
   for (const Workload *W : evaluationWorkloads())
     for (bool Scalarize : {false, true})
       for (bool Fuse : {false, true})
-        for (bool Audit : {false, true})
-          for (bool Lint : {false, true}) {
-            CompileOptions Opts;
-            Opts.Scalarize = Scalarize;
-            Opts.FuseLoops = Fuse;
-            Opts.Audit = Audit;
-            Opts.Lint = Lint;
-            CompileResult R = compileSource(W->Source, Opts);
-            ASSERT_TRUE(R.Ok)
-                << W->Name << " scalarize=" << Scalarize << " fuse=" << Fuse
-                << " audit=" << Audit << " lint=" << Lint << "\n"
-                << R.Errors;
-            EXPECT_TRUE(R.AuditOk)
-                << W->Name << " scalarize=" << Scalarize << " fuse=" << Fuse
-                << "\n"
-                << R.Diagnostics;
-          }
+        for (bool Lint : {false, true}) {
+          CompileOptions Opts;
+          Opts.Scalarize = Scalarize;
+          Opts.FuseLoops = Fuse;
+          Opts.Verify = VerifyMode::Final;
+          Opts.Lint = Lint;
+          CompileResult R = compileSource(W->Source, Opts);
+          ASSERT_TRUE(R.Ok) << W->Name << " scalarize=" << Scalarize
+                            << " fuse=" << Fuse << " lint=" << Lint << "\n"
+                            << R.Errors;
+          EXPECT_TRUE(R.VerifyOk) << W->Name << " scalarize=" << Scalarize
+                                  << " fuse=" << Fuse << "\n"
+                                  << R.Diagnostics;
+        }
 }
 
 TEST(Pipeline, PassRecordsCoverStandardPipeline) {
@@ -96,8 +94,7 @@ TEST(Pipeline, PassRecordsCoverStandardPipeline) {
     Names.push_back(P.Name);
   EXPECT_EQ(Names, (std::vector<std::string>{"parse", "scalarize", "fuse",
                                              "build-context", "placement",
-                                             "lower", "audit", "verify",
-                                             "lint"}));
+                                             "lower", "verify", "lint"}));
   // Counter increments are attributed to the pass that made them.
   for (const PassRecord &P : S.Passes) {
     if (P.Name == "placement")
@@ -107,7 +104,7 @@ TEST(Pipeline, PassRecordsCoverStandardPipeline) {
   }
   TimeRecord Total = S.Times.total();
   EXPECT_GT(Total.WallSec, 0.0);
-  EXPECT_EQ(Total.Invocations, 9);
+  EXPECT_EQ(Total.Invocations, 8);
 }
 
 TEST(Pipeline, DumpAfterRecordsSnapshot) {
@@ -125,14 +122,13 @@ TEST(Pipeline, DumpAfterRecordsSnapshot) {
   All.DumpAfter = "all";
   Session S2(figure3FusedWorkload().Source, All);
   ASSERT_TRUE(S2.run());
-  EXPECT_EQ(S2.Dumps.size(), 9u);
+  EXPECT_EQ(S2.Dumps.size(), 8u);
   // After placement the dump carries the plan.
   EXPECT_NE(S2.Dumps[4].second.find("plan["), std::string::npos);
 }
 
 TEST(Pipeline, JsonTimeReportHasPassesAndCounters) {
   CompileOptions Opts;
-  Opts.Audit = true;
   Session S(shallowWorkload().Source, Opts);
   ASSERT_TRUE(S.run());
   std::string Json = S.timeReportJson();
@@ -151,7 +147,6 @@ TEST(Pipeline, FrontendWarningsPreserved) {
   // An override that matches no param declaration draws a parser warning.
   CompileOptions Opts;
   Opts.Params["typo"] = 3;
-  Opts.Audit = false;
   Opts.Lint = false;
   CompileResult R = compileSource(figure4Workload().Source, Opts);
   ASSERT_TRUE(R.Ok) << R.Errors;
@@ -159,7 +154,7 @@ TEST(Pipeline, FrontendWarningsPreserved) {
             std::string::npos)
       << R.Diagnostics;
 
-  // The old driver cleared the engine before audit/lint, losing the
+  // The old driver cleared the engine before lint, losing the
   // warning; it must now survive alongside lint output.
   Opts.Lint = true;
   R = compileSource(figure4Workload().Source, Opts);
@@ -171,7 +166,6 @@ TEST(Pipeline, FrontendWarningsPreserved) {
 TEST(Pipeline, MatchedOverridesStayQuiet) {
   CompileOptions Opts;
   Opts.Params["n"] = 16;
-  Opts.Audit = false;
   CompileResult R = compileSource(figure4Workload().Source, Opts);
   ASSERT_TRUE(R.Ok) << R.Errors;
   EXPECT_EQ(R.Diagnostics, "");
@@ -184,8 +178,7 @@ TEST(Pipeline, MatchedOverridesStayQuiet) {
 TEST(Pipeline, BaselineReuseMatchesFreshBaseline) {
   for (const Workload *W : evaluationWorkloads()) {
     CompileOptions Opts;
-    Opts.Audit = false;
-    Opts.Lint = true;
+      Opts.Lint = true;
     // Through the session: the Orig baseline is computed once per routine
     // and shared between lint and the stats registry.
     Session S(W->Source, Opts);
@@ -195,7 +188,6 @@ TEST(Pipeline, BaselineReuseMatchesFreshBaseline) {
 
     // By hand: a fresh baseline per routine.
     CompileOptions Plain;
-    Plain.Audit = false;
     CompileResult Fresh = compileSource(W->Source, Plain);
     DiagEngine Diags;
     int64_t FreshGroups = 0;

@@ -326,11 +326,9 @@ TEST(Subsumption, TwiceSubsumedEntryKeepsItsRange) {
   Spec.Seed = 255;
   CompileOptions Opts;
   Opts.Placement.Strat = Strategy::Global;
-  Opts.Audit = true;
   Opts.Verify = VerifyMode::Final;
   CompileResult R = compileSource(synthSource(Spec), Opts);
   ASSERT_TRUE(R.Ok) << R.Errors;
-  EXPECT_TRUE(R.AuditOk) << R.Diagnostics;
   EXPECT_TRUE(R.VerifyOk) << R.Diagnostics;
   int Chains = 0;
   for (const RoutineResult &RR : R.Routines) {
@@ -433,7 +431,6 @@ TEST(IndexedPlacement, RangeWorkGrowsLinearlyWithTheRoutine) {
     Spec.Nests = Nests;
     Spec.Seed = 1;
     CompileOptions Opts;
-    Opts.Audit = false;
     Opts.Verify = VerifyMode::Off;
     Session S(synthSource(Spec), Opts);
     EXPECT_TRUE(S.run()) << S.Result.Errors;

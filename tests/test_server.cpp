@@ -176,6 +176,11 @@ TEST(ServeProtocolTest, StrictParsingRejectsUnknownAndMistyped) {
   EXPECT_TRUE(Fails("{\"source\":\"s\",\"options\":{\"strategy\":\"nope\"}}"));
   EXPECT_TRUE(Fails(
       "{\"source\":\"s\",\"options\":{\"params\":{\"n\":\"many\"}}}"));
+  // A dump-after selector must name a pass of the standard pipeline.
+  EXPECT_TRUE(
+      Fails("{\"source\":\"s\",\"options\":{\"dump_after\":\"bogus\"}}"));
+  EXPECT_FALSE(Fails(
+      "{\"source\":\"s\",\"options\":{\"dump_after\":\"placement\"}}"));
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,11 +9,14 @@
 /// The plan-mutation ("chaos") harness for the translation-validation layer:
 /// each test compiles a program whose unmutated plan verifies clean, corrupts
 /// the plan in one distinct way, and asserts the expected verifier rule
-/// fires. The mutation classes cover both halves — the availability dataflow
-/// (hoist past a def, hoist out of a carrying loop, sink past the use,
-/// shrink a descriptor, retarget a subsumption, widen a mapping) and the
+/// fires. The mutation classes cover every family — the availability
+/// dataflow (hoist past a def, hoist out of a carrying loop, sink past the
+/// use, shrink a descriptor, retarget a subsumption, widen a mapping), the
 /// structural verifier (drop a group, invalid slot, duplicate membership,
-/// tampered decision log, out-of-scope descriptor variable).
+/// broken subsumption chain, inconsistent group links, tampered decision
+/// log, out-of-scope descriptor variable), and the combining rule (size
+/// threshold, member kind, mapping compatibility, shift reach, common
+/// position).
 ///
 /// A clean-plan sweep closes the loop: every strategy over every workload
 /// and a bank of generator seeds must produce zero violations, so the teeth
@@ -23,7 +26,6 @@
 
 #include "FuzzGen.h"
 #include "analysis/AvailDataflow.h"
-#include "analysis/PlanAudit.h"
 #include "driver/Compile.h"
 #include "support/Stats.h"
 #include "workloads/Workloads.h"
@@ -41,7 +43,6 @@ CompileResult compile(const std::string &Source,
                       Strategy Strat = Strategy::Global) {
   CompileOptions Opts;
   Opts.Placement.Strat = Strat;
-  Opts.Audit = false;
   Opts.Lint = false;
   CompileResult R = compileSource(Source, Opts);
   EXPECT_TRUE(R.Ok) << R.Errors;
@@ -55,16 +56,11 @@ bool hasRule(const VerifyReport &R, VerifyRule Rule) {
   return false;
 }
 
-/// Verifies the routine's plan, asserting it was clean before any mutation
-/// when \p ExpectClean.
-VerifyReport verify(const RoutineResult &RR) {
-  return verifyPlan(*RR.Ctx, RR.Plan, PlacementOptions());
-}
-
-/// The static audit's verdict on the same plan: the audit column of the
-/// catch matrix in DESIGN.md ("Translation validation").
-bool auditOk(const RoutineResult &RR) {
-  return auditPlan(*RR.Ctx, RR.Plan, PlacementOptions()).ok();
+/// Verifies the routine's plan under \p Opts (default: the options the
+/// plan was built under).
+VerifyReport verify(const RoutineResult &RR,
+                    const PlacementOptions &Opts = PlacementOptions()) {
+  return verifyPlan(*RR.Ctx, RR.Plan, Opts);
 }
 
 /// The test_analysis stencil: two reads of b separated by a redefinition,
@@ -172,7 +168,6 @@ TEST(VerifyMutation, HoistPastDefCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailFreshness)) << V.str();
-  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, HoistOutOfCarryingLoopCaught) {
@@ -197,7 +192,6 @@ TEST(VerifyMutation, HoistOutOfCarryingLoopCaught) {
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailFreshness)) << V.str();
   EXPECT_FALSE(hasRule(V, VerifyRule::AvailCoverage)) << V.str();
-  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, SinkPastUseCaught) {
@@ -212,7 +206,6 @@ TEST(VerifyMutation, SinkPastUseCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailCoverage)) << V.str();
-  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, ShrunkSectionCaught) {
@@ -230,7 +223,6 @@ TEST(VerifyMutation, ShrunkSectionCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailCoverage)) << V.str();
-  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, RetargetedSubsumptionCaught) {
@@ -259,7 +251,6 @@ TEST(VerifyMutation, RetargetedSubsumptionCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailRedundancy)) << V.str();
-  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, WidenedMappingCaught) {
@@ -279,7 +270,6 @@ TEST(VerifyMutation, WidenedMappingCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailRedundancy)) << V.str();
-  EXPECT_FALSE(auditOk(RR));
 }
 
 //===----------------------------------------------------------------------===//
@@ -299,7 +289,6 @@ TEST(VerifyMutation, DroppedGroupCaught) {
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::PlanIntegrity)) << V.str();
   EXPECT_TRUE(hasRule(V, VerifyRule::DecisionLog)) << V.str();
-  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, InvalidSlotCaught) {
@@ -314,9 +303,6 @@ TEST(VerifyMutation, InvalidSlotCaught) {
   // treats the group as never firing.
   EXPECT_TRUE(hasRule(V, VerifyRule::PlanIntegrity)) << V.str();
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailCoverage)) << V.str();
-  // No audit verdict: the auditor indexes the CFG and the dominator tree by
-  // the slot's node without a bounds check, so node 9999 reads out of
-  // bounds there.
 }
 
 TEST(VerifyMutation, DuplicateMembershipCaught) {
@@ -328,7 +314,6 @@ TEST(VerifyMutation, DuplicateMembershipCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::PlanIntegrity)) << V.str();
-  EXPECT_FALSE(auditOk(RR));
 }
 
 TEST(VerifyMutation, TamperedDecisionLogCaught) {
@@ -349,7 +334,6 @@ TEST(VerifyMutation, TamperedDecisionLogCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::DecisionLog)) << V.str();
-  EXPECT_TRUE(auditOk(RR)); // The audit does not read the log.
 }
 
 TEST(VerifyMutation, ErasedEliminationEventCaught) {
@@ -370,7 +354,6 @@ TEST(VerifyMutation, ErasedEliminationEventCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::DecisionLog)) << V.str();
-  EXPECT_TRUE(auditOk(RR)); // The audit does not read the log.
 }
 
 TEST(VerifyMutation, OutOfScopeDescriptorVarCaught) {
@@ -392,7 +375,168 @@ TEST(VerifyMutation, OutOfScopeDescriptorVarCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::PlanIntegrity)) << V.str();
-  EXPECT_FALSE(auditOk(RR));
+}
+
+TEST(VerifyMutation, BrokenSubsumptionChainRejected) {
+  CompileResult R = compile(kStencil);
+  RoutineResult &RR = R.Routines[0];
+  ASSERT_TRUE(verify(RR).ok());
+  // Fake an elimination with no surviving subsumer: the entry leaves its
+  // group, which is left empty, and resolves nowhere.
+  CommEntry &E = RR.Plan.Entries[RR.Plan.Groups[0].Members[0]];
+  RR.Plan.Groups[0].Members.clear();
+  E.Eliminated = true;
+  E.SubsumedBy = -1;
+  E.GroupId = -1;
+
+  VerifyReport V = verify(RR);
+  EXPECT_FALSE(V.ok());
+  EXPECT_TRUE(hasRule(V, VerifyRule::PlanIntegrity)) << V.str();
+}
+
+TEST(VerifyMutation, InconsistentGroupLinksRejected) {
+  CompileResult R = compile(kStencil);
+  RoutineResult &RR = R.Routines[0];
+  ASSERT_EQ(RR.Plan.Groups.size(), 2u);
+  ASSERT_TRUE(verify(RR).ok());
+  // A member whose back-pointer names another group.
+  RR.Plan.Entries[RR.Plan.Groups[0].Members[0]].GroupId = 1;
+
+  VerifyReport V = verify(RR);
+  EXPECT_FALSE(V.ok());
+  EXPECT_TRUE(hasRule(V, VerifyRule::PlanIntegrity)) << V.str();
+}
+
+//===----------------------------------------------------------------------===//
+// Mutation classes: the combining rule
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Two same-shift reads of different arrays in one nest: the global
+/// strategy combines them into one two-member group.
+const char *kCombined = "program p\n"
+                        "param n = 8\n"
+                        "real a(n,n) distribute (block,block)\n"
+                        "real b(n,n) distribute (block,block)\n"
+                        "real c(n,n) distribute (block,block)\n"
+                        "real d(n,n) distribute (block,block)\n"
+                        "begin\n"
+                        "do i = 2, n\n"
+                        "  do j = 1, n\n"
+                        "    a(i,j) = b(i-1,j)\n"
+                        "    c(i,j) = d(i-1,j)\n"
+                        "  end do\n"
+                        "end do\n"
+                        "end\n";
+
+/// The first group of \p Plan with two or more members, or -1.
+int combinedGroup(const CommPlan &Plan) {
+  for (const CommGroup &G : Plan.Groups)
+    if (G.Members.size() >= 2)
+      return G.Id;
+  return -1;
+}
+
+/// Compiles kCombined and returns its combined group's id, asserting the
+/// unmutated plan verifies clean.
+int compileCombined(CompileResult &R) {
+  R = compile(kCombined);
+  const RoutineResult &RR = R.Routines[0];
+  int GId = combinedGroup(RR.Plan);
+  EXPECT_GE(GId, 0) << "expected a combined group";
+  EXPECT_TRUE(verify(RR).ok());
+  return GId;
+}
+
+} // namespace
+
+TEST(VerifyMutation, CombiningOverThresholdRejected) {
+  CompileResult R;
+  int GId = compileCombined(R);
+  ASSERT_GE(GId, 0);
+  const RoutineResult &RR = R.Routines[0];
+  // The plan was built under the 20 KB threshold; verified under a 1-byte
+  // one, its combined group is too large.
+  PlacementOptions Tiny;
+  Tiny.CombineThresholdBytes = 1;
+  VerifyReport V = verify(RR, Tiny);
+  EXPECT_FALSE(V.ok());
+  EXPECT_TRUE(hasRule(V, VerifyRule::CombineLegality)) << V.str();
+}
+
+TEST(VerifyMutation, CombinedKindMismatchRejected) {
+  CompileResult R;
+  int GId = compileCombined(R);
+  ASSERT_GE(GId, 0);
+  RoutineResult &RR = R.Routines[0];
+  // A member that is no longer a shift, in a shift group.
+  RR.Plan.Entries[RR.Plan.Groups[GId].Members[0]].M.Kind = CommKind::General;
+
+  VerifyReport V = verify(RR);
+  EXPECT_FALSE(V.ok());
+  EXPECT_TRUE(hasRule(V, VerifyRule::CombineLegality)) << V.str();
+}
+
+TEST(VerifyMutation, CombinedIncompatibleMappingRejected) {
+  CompileResult R;
+  int GId = compileCombined(R);
+  ASSERT_GE(GId, 0);
+  RoutineResult &RR = R.Routines[0];
+  // Reverse a member's shift direction: same kind and reach, but the
+  // sender-receiver relation differs from the group's (Section 4.7).
+  Mapping &M = RR.Plan.Entries[RR.Plan.Groups[GId].Members[0]].M;
+  bool Flipped = false;
+  for (int64_t &O : M.Offsets)
+    if (O != 0) {
+      O = -O;
+      Flipped = true;
+    }
+  ASSERT_TRUE(Flipped);
+
+  VerifyReport V = verify(RR);
+  EXPECT_FALSE(V.ok());
+  EXPECT_TRUE(hasRule(V, VerifyRule::CombineLegality)) << V.str();
+}
+
+TEST(VerifyMutation, CombinedShiftPastGroupRejected) {
+  CompileResult R;
+  int GId = compileCombined(R);
+  ASSERT_GE(GId, 0);
+  RoutineResult &RR = R.Routines[0];
+  // Widen a member's shift past the group's: same direction, so the
+  // mappings stay compatible, but the group's overlap no longer reaches it.
+  const Mapping &GM = RR.Plan.Groups[GId].M;
+  Mapping &M = RR.Plan.Entries[RR.Plan.Groups[GId].Members[0]].M;
+  bool Widened = false;
+  for (size_t K = 0; K < M.Offsets.size() && K < GM.Offsets.size(); ++K)
+    if (GM.Offsets[K] != 0) {
+      M.Offsets[K] = 2 * GM.Offsets[K];
+      Widened = true;
+    }
+  ASSERT_TRUE(Widened);
+
+  VerifyReport V = verify(RR);
+  EXPECT_FALSE(V.ok());
+  EXPECT_TRUE(hasRule(V, VerifyRule::CombineLegality)) << V.str();
+}
+
+TEST(VerifyMutation, CombinedSlotNotCandidateRejected) {
+  CompileResult R;
+  int GId = compileCombined(R);
+  ASSERT_GE(GId, 0);
+  RoutineResult &RR = R.Routines[0];
+  // Drop the group's slot from a member's original placement range: the
+  // group no longer sits at a position common to all its members.
+  Slot P = RR.Plan.Groups[GId].Placement;
+  SlotSpan &Cands =
+      RR.Plan.Entries[RR.Plan.Groups[GId].Members[0]].OriginalCandidates;
+  ASSERT_NE(std::find(Cands.begin(), Cands.end(), P), Cands.end());
+  Cands.removeValue(P);
+
+  VerifyReport V = verify(RR);
+  EXPECT_FALSE(V.ok());
+  EXPECT_TRUE(hasRule(V, VerifyRule::CombineLegality)) << V.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -413,7 +557,6 @@ TEST(VerifyClean, AllWorkloadsAllStrategiesPass) {
     for (Strategy S : kAllStrategies) {
       CompileOptions Opts;
       Opts.Placement.Strat = S;
-      Opts.Audit = false;
       CompileResult R = compileSource(W->Source, Opts);
       ASSERT_TRUE(R.Ok) << W->Name << ": " << R.Errors;
       for (const RoutineResult &RR : R.Routines) {
@@ -439,7 +582,6 @@ TEST(VerifyClean, GeneratedProgramsPass) {
       Opts.Placement.DeferReductions = Seed % 3 == 0;
       Opts.Placement.PartialRedundancy = Seed % 4 == 0;
       Opts.FuseLoops = Seed % 5 == 0;
-      Opts.Audit = false;
       CompileResult R = compileSource(Src, Opts);
       ASSERT_TRUE(R.Ok) << R.Errors;
       for (const RoutineResult &RR : R.Routines) {

@@ -25,8 +25,8 @@
 // on a hit — bitwise-identical plans, diagnostics, dumps and counters, so
 // cached and uncached runs produce the same deterministic output.
 //
-// Exit status: 0 on success, 1 on any compile error, audit or translation-
-// validation violation, or determinism mismatch, 2 on usage errors.
+// Exit status: 0 on success, 1 on any compile error, translation-validation
+// violation, or determinism mismatch, 2 on usage errors.
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,10 +45,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,7 +56,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -182,7 +181,7 @@ Output compileOneRun(const Input &In, const ToolOptions &Opts,
     Out.Failed = true;
     return Out;
   }
-  if (!R.AuditOk || !R.VerifyOk)
+  if (!R.VerifyOk)
     Out.Failed = true;
 
   // Min/median wall time over a --repeat series (this run included).
@@ -518,20 +517,6 @@ int microbenchMain(const ToolOptions &Opts) {
 /// Largest worker count --jobs and --serve-jobs accept.
 constexpr unsigned kMaxJobs = 1024;
 
-/// Parses a count option's value: a plain decimal number (digits only, no
-/// sign, space or suffix) in [Min, Max]. \returns false for anything else;
-/// the caller answers with the usage exit.
-template <typename T>
-bool parseCount(std::string_view Text, unsigned Min, unsigned Max, T &Out) {
-  unsigned V = 0;
-  const char *End = Text.data() + Text.size();
-  auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
-  if (Ec != std::errc() || Ptr != End || V < Min || V > Max)
-    return false;
-  Out = static_cast<T>(V);
-  return true;
-}
-
 int usage(const char *Argv0) {
   std::fprintf(
       stderr,
@@ -551,7 +536,10 @@ int usage(const char *Argv0) {
       "                         at most 1024)\n"
       "  --stats                print the counter registry per input\n"
       "  --time-report[=json]   per-pass timing (and counter) report\n"
-      "  --dump-after=PASS      dump program/plans after PASS (or 'all')\n"
+      "  --dump-after=PASS      dump program/plans after PASS of the "
+      "pipeline\n"
+      "                         (parse, scalarize, fuse, build-context,\n"
+      "                         placement, lower, verify, lint) or 'all'\n"
       "  --strategy=NAME        orig|nored|comb|optimal|earlycomb\n"
       "  --machine=NAME         machine profile for collective lowering and\n"
       "                         simulation (default sp2; see "
@@ -564,7 +552,7 @@ int usage(const char *Argv0) {
       "  --mb-warmup=N --mb-iters=N --mb-seed=S --mb-procs=P\n"
       "                         microbenchmark discipline (defaults 3/10/42/"
       "16)\n"
-      "  --no-scalarize --fuse --audit --no-audit --lint --no-lint\n"
+      "  --no-scalarize --fuse --lint --no-lint\n"
       "  --verify[=final|each|off]  translation validation: re-verify every\n"
       "                         plan with the independent availability\n"
       "                         dataflow ('each' adds structural IR checks\n"
@@ -638,7 +626,8 @@ int main(int argc, char **argv) {
       if (!parseCount(Arg.substr(8), 1, INT_MAX, Opts.SynthNests))
         return usage(argv[0]);
     } else if (Arg.rfind("--synth-seed=", 0) == 0) {
-      Opts.SynthSeed = std::strtoull(Arg.c_str() + 13, nullptr, 10);
+      if (!parseCount(Arg.substr(13), 0, UINT64_MAX, Opts.SynthSeed))
+        return usage(argv[0]);
     } else if (Arg.rfind("--repeat=", 0) == 0) {
       if (!parseCount(Arg.substr(9), 1, INT_MAX, Opts.Repeat))
         return usage(argv[0]);
@@ -658,6 +647,8 @@ int main(int argc, char **argv) {
       Opts.TimeReportJson = true;
     } else if (Arg.rfind("--dump-after=", 0) == 0) {
       Opts.Compile.DumpAfter = Arg.substr(std::strlen("--dump-after="));
+      if (!isDumpAfterName(Opts.Compile.DumpAfter))
+        return usage(argv[0]);
     } else if (Arg.rfind("--strategy=", 0) == 0) {
       std::string Name = Arg.substr(std::strlen("--strategy="));
       bool Found = false;
@@ -680,10 +671,6 @@ int main(int argc, char **argv) {
       Opts.Compile.Placement.PartialRedundancy = true;
     } else if (Arg == "--fuse") {
       Opts.Compile.FuseLoops = true;
-    } else if (Arg == "--audit") {
-      Opts.Compile.Audit = true;
-    } else if (Arg == "--no-audit") {
-      Opts.Compile.Audit = false;
     } else if (Arg == "--lint") {
       Opts.Compile.Lint = true;
     } else if (Arg == "--no-lint") {
@@ -705,9 +692,9 @@ int main(int argc, char **argv) {
     } else if (Arg == "--no-cache") {
       Opts.CacheSpec.clear();
     } else if (Arg.rfind("--cache-bytes=", 0) == 0) {
-      Opts.CacheBytes = static_cast<size_t>(
-          std::strtoull(Arg.c_str() + std::strlen("--cache-bytes="), nullptr,
-                        10));
+      if (!parseCount(Arg.substr(std::strlen("--cache-bytes=")), 0, SIZE_MAX,
+                      Opts.CacheBytes))
+        return usage(argv[0]);
     } else if (Arg == "--cache-stats") {
       Opts.CacheStats = true;
     } else if (Arg == "--verify-determinism") {
@@ -773,29 +760,27 @@ int main(int argc, char **argv) {
     } else if (Arg == "--microbench") {
       Opts.Microbench = true;
     } else if (Arg.rfind("--mb-warmup=", 0) == 0) {
-      Opts.MbWarmup = static_cast<int>(
-          std::strtol(Arg.c_str() + std::strlen("--mb-warmup="), nullptr, 10));
-      if (Opts.MbWarmup < 0)
+      if (!parseCount(Arg.substr(std::strlen("--mb-warmup=")), 0, INT_MAX,
+                      Opts.MbWarmup))
         return usage(argv[0]);
     } else if (Arg.rfind("--mb-iters=", 0) == 0) {
-      Opts.MbIters = static_cast<int>(
-          std::strtol(Arg.c_str() + std::strlen("--mb-iters="), nullptr, 10));
-      if (Opts.MbIters < 1)
+      if (!parseCount(Arg.substr(std::strlen("--mb-iters=")), 1, INT_MAX,
+                      Opts.MbIters))
         return usage(argv[0]);
     } else if (Arg.rfind("--mb-seed=", 0) == 0) {
-      Opts.MbSeed =
-          std::strtoull(Arg.c_str() + std::strlen("--mb-seed="), nullptr, 10);
+      if (!parseCount(Arg.substr(std::strlen("--mb-seed=")), 0, UINT64_MAX,
+                      Opts.MbSeed))
+        return usage(argv[0]);
     } else if (Arg.rfind("--mb-procs=", 0) == 0) {
-      Opts.MbProcs = static_cast<int>(
-          std::strtol(Arg.c_str() + std::strlen("--mb-procs="), nullptr, 10));
-      if (Opts.MbProcs < 1)
+      if (!parseCount(Arg.substr(std::strlen("--mb-procs=")), 1, INT_MAX,
+                      Opts.MbProcs))
         return usage(argv[0]);
     } else if (Arg == "-p") {
       const char *Eq = I + 1 < argc ? std::strchr(argv[I + 1], '=') : nullptr;
-      if (!Eq)
+      int64_t Value = 0;
+      if (!Eq || !parseInt64(Eq + 1, Value))
         return usage(argv[0]);
-      Opts.Compile.Params[std::string(argv[I + 1], Eq - argv[I + 1])] =
-          std::strtoll(Eq + 1, nullptr, 10);
+      Opts.Compile.Params[std::string(argv[I + 1], Eq - argv[I + 1])] = Value;
       ++I;
     } else if (!Arg.empty() && Arg[0] == '-') {
       return usage(argv[0]);

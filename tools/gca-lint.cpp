@@ -1,27 +1,28 @@
-//===- tools/gca-lint.cpp - Plan audit + communication lint CLI -----------===//
+//===- tools/gca-lint.cpp - Plan verification + communication lint CLI ----===//
 //
 // Part of the gcomm project: a reproduction of "Global Communication
 // Analysis and Optimization" (Chakrabarti, Gupta, Choi; PLDI 1996).
 //
 //===----------------------------------------------------------------------===//
 //
-// Compiles an HPF-lite program, statically audits the communication plan of
-// every routine (analysis/PlanAudit.h), and runs the communication lints
+// Compiles an HPF-lite program, verifies the communication plan of every
+// routine (analysis/AvailDataflow.h: structure, combining legality and
+// all-paths availability), and runs the communication lints
 // (analysis/CommLint.h). Diagnostics print to stderr; the exit status is
-// nonzero on compile errors or audit violations (and, under --werror, on any
-// lint warning).
+// nonzero on compile errors or verify violations (and, under --werror, on
+// any lint warning).
 //
 //   $ gca-lint prog.hpf
-//   $ gca-lint --json prog.hpf          # machine-readable audit reports
+//   $ gca-lint --json prog.hpf          # machine-readable verify reports
 //   $ gca-lint --werror prog.hpf        # warnings are fatal
 //   $ gca-lint -p n=128 prog.hpf        # override a param declaration
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Compile.h"
+#include "support/StrUtil.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -31,7 +32,7 @@ using namespace gca;
 
 static int usage(const char *Argv0) {
   std::fprintf(stderr,
-               "usage: %s [--json] [--werror] [--no-audit] [--no-lint] "
+               "usage: %s [--json] [--werror] [--no-lint] "
                "[-p name=value]... <file.hpf>\n",
                Argv0);
   return 2;
@@ -39,7 +40,7 @@ static int usage(const char *Argv0) {
 
 int main(int argc, char **argv) {
   std::string Path;
-  bool Json = false, Werror = false, Audit = true, Lint = true;
+  bool Json = false, Werror = false, Lint = true;
   ParamMap Params;
 
   for (int I = 1; I < argc; ++I) {
@@ -48,16 +49,14 @@ int main(int argc, char **argv) {
       Json = true;
     } else if (Arg == "--werror") {
       Werror = true;
-    } else if (Arg == "--no-audit") {
-      Audit = false;
     } else if (Arg == "--no-lint") {
       Lint = false;
     } else if (Arg == "-p") {
       const char *Eq = I + 1 < argc ? std::strchr(argv[I + 1], '=') : nullptr;
-      if (!Eq)
+      int64_t Value = 0;
+      if (!Eq || !parseInt64(Eq + 1, Value))
         return usage(argv[0]);
-      Params[std::string(argv[I + 1], Eq - argv[I + 1])] =
-          std::strtoll(Eq + 1, nullptr, 10);
+      Params[std::string(argv[I + 1], Eq - argv[I + 1])] = Value;
       ++I;
     } else if (!Arg.empty() && Arg[0] == '-') {
       return usage(argv[0]);
@@ -80,7 +79,7 @@ int main(int argc, char **argv) {
 
   CompileOptions Opts;
   Opts.Params = Params;
-  Opts.Audit = Audit;
+  Opts.Verify = VerifyMode::Final;
   Opts.Lint = Lint;
   CompileResult R = compileSource(SS.str(), Opts);
   if (!R.Ok) {
@@ -91,8 +90,8 @@ int main(int argc, char **argv) {
   std::fprintf(stderr, "%s", R.Diagnostics.c_str());
   if (Json)
     for (const RoutineResult &RR : R.Routines)
-      std::printf("{\"routine\":\"%s\",\"audit\":%s}\n",
-                  RR.R->name().c_str(), RR.Audit.json().c_str());
+      std::printf("{\"routine\":\"%s\",\"verify\":%s}\n",
+                  RR.R->name().c_str(), RR.Verify.json().c_str());
   // ferror is sticky: a --json report truncated by a full disk or closed
   // pipe must fail the run, not silently pass.
   if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
@@ -100,7 +99,7 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  if (!R.AuditOk)
+  if (!R.VerifyOk)
     return 1;
   if (Werror && !R.Diagnostics.empty())
     return 1;

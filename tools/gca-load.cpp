@@ -35,6 +35,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,11 +94,16 @@ struct ClientResult {
           TraceIdErrors = 0;
 };
 
+/// Largest --clients count: one thread and connection each, like
+/// gca-compile's --jobs cap.
+constexpr unsigned kMaxClients = 1024;
+
 int usage(const char *Argv0) {
   std::fprintf(
       stderr,
       "usage: %s --socket=PATH [options] [files.hpf...]\n"
-      "  --clients=N            concurrent client connections (default 1)\n"
+      "  --clients=N            concurrent client connections (default 1,\n"
+      "                         at most 1024)\n"
       "  --requests=N           total requests, round-robin over the input\n"
       "                         mix (default: one pass over the inputs)\n"
       "  --rate=R               cap the global request rate at R req/s\n"
@@ -367,18 +373,16 @@ int main(int argc, char **argv) {
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    auto NumAfter = [&](const char *Prefix) {
-      return std::strtol(Arg.c_str() + std::strlen(Prefix), nullptr, 10);
+    auto CountAfter = [&](const char *Prefix, uint64_t Max, int &Out) {
+      return parseCount(Arg.substr(std::strlen(Prefix)), 1, Max, Out);
     };
     if (Arg.rfind("--socket=", 0) == 0) {
       Opts.SocketPath = Arg.substr(std::strlen("--socket="));
     } else if (Arg.rfind("--clients=", 0) == 0) {
-      Opts.Clients = static_cast<int>(NumAfter("--clients="));
-      if (Opts.Clients < 1)
+      if (!CountAfter("--clients=", kMaxClients, Opts.Clients))
         return usage(argv[0]);
     } else if (Arg.rfind("--requests=", 0) == 0) {
-      Opts.Requests = static_cast<int>(NumAfter("--requests="));
-      if (Opts.Requests < 1)
+      if (!CountAfter("--requests=", INT_MAX, Opts.Requests))
         return usage(argv[0]);
     } else if (Arg.rfind("--rate=", 0) == 0) {
       Opts.Rate = std::strtod(Arg.c_str() + std::strlen("--rate="), nullptr);
@@ -387,12 +391,10 @@ int main(int argc, char **argv) {
     } else if (Arg == "--workloads") {
       Opts.Workloads = true;
     } else if (Arg.rfind("--synth=", 0) == 0) {
-      Opts.SynthNests = static_cast<int>(NumAfter("--synth="));
-      if (Opts.SynthNests <= 0)
+      if (!CountAfter("--synth=", INT_MAX, Opts.SynthNests))
         return usage(argv[0]);
     } else if (Arg.rfind("--synth-count=", 0) == 0) {
-      Opts.SynthCount = static_cast<int>(NumAfter("--synth-count="));
-      if (Opts.SynthCount < 1)
+      if (!CountAfter("--synth-count=", INT_MAX, Opts.SynthCount))
         return usage(argv[0]);
     } else if (Arg == "--check") {
       Opts.Check = true;
