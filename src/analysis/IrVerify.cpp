@@ -559,12 +559,29 @@ void checkDecisions(const CommPlan &Plan, VerifyReport &Report) {
   }
 }
 
+} // namespace
+
+void gca::verifyIr(const Routine &R, const Cfg &G, const Ssa &S,
+                   VerifyReport &Report) {
+  (void)R;
+  checkCfg(G, Report);
+  checkSsa(G, S, Report);
+}
+
+void gca::verifyPlanIntegrity(const AnalysisContext &Ctx,
+                              const CommPlan &Plan, VerifyReport &Report) {
+  checkPlan(Ctx, Plan, Report);
+  checkDecisions(Plan, Report);
+}
+
 //===----------------------------------------------------------------------===//
 // Combining legality (Section 4.7)
 //===----------------------------------------------------------------------===//
 
-void checkCombining(const AnalysisContext &Ctx, const CommPlan &Plan,
-                    const PlacementOptions &Opts, VerifyReport &Report) {
+void gca::verifyCombineLegality(const AnalysisContext &Ctx,
+                                const CommPlan &Plan,
+                                const PlacementOptions &Opts,
+                                VerifyReport &Report) {
   int NumEntries = static_cast<int>(Plan.Entries.size());
   std::vector<const CommEntry *> Members;
   for (const CommGroup &Grp : Plan.Groups) {
@@ -633,26 +650,4 @@ void checkCombining(const AnalysisContext &Ctx, const CommPlan &Plan,
                         Grp.Id, static_cast<long long>(Bytes),
                         static_cast<long long>(Opts.CombineThresholdBytes)));
   }
-}
-
-} // namespace
-
-void gca::verifyIr(const Routine &R, const Cfg &G, const Ssa &S,
-                   VerifyReport &Report) {
-  (void)R;
-  checkCfg(G, Report);
-  checkSsa(G, S, Report);
-}
-
-void gca::verifyPlanIntegrity(const AnalysisContext &Ctx,
-                              const CommPlan &Plan, VerifyReport &Report) {
-  checkPlan(Ctx, Plan, Report);
-  checkDecisions(Plan, Report);
-}
-
-void gca::verifyCombineLegality(const AnalysisContext &Ctx,
-                                const CommPlan &Plan,
-                                const PlacementOptions &Opts,
-                                VerifyReport &Report) {
-  checkCombining(Ctx, Plan, Opts, Report);
 }
