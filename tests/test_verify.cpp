@@ -16,7 +16,8 @@
 /// broken subsumption chain, inconsistent group links, tampered decision
 /// log, out-of-scope descriptor variable), and the combining rule (size
 /// threshold, member kind, mapping compatibility, shift reach, common
-/// position).
+/// position). Three `PlanAudit` cases repeat dataflow mutations with a
+/// DiagEngine attached and check where the error is reported.
 ///
 /// A clean-plan sweep closes the loop: every strategy over every workload
 /// and a bank of generator seeds must produce zero violations, so the teeth
@@ -405,6 +406,72 @@ TEST(VerifyMutation, InconsistentGroupLinksRejected) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::PlanIntegrity)) << V.str();
+}
+
+//===----------------------------------------------------------------------===//
+// Plan audit: corrupted plans are rejected with located diagnostics
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Verifies \p RR with a DiagEngine attached and expects \p Rule to fire for
+/// entry \p EntryId, reported as an error at source line \p Line.
+void expectLocatedViolation(const RoutineResult &RR, VerifyRule Rule,
+                            int EntryId, int Line) {
+  DiagEngine Diags;
+  VerifyReport V = verifyPlan(*RR.Ctx, RR.Plan, PlacementOptions(), &Diags);
+  EXPECT_FALSE(V.ok());
+  bool InReport = false;
+  for (const VerifyViolation &Viol : V.Violations)
+    InReport |= Viol.Rule == Rule && Viol.EntryId == EntryId &&
+                Viol.Loc.Line == Line;
+  EXPECT_TRUE(InReport) << V.str();
+  std::string Tag =
+      std::string("plan verify [") + verifyRuleName(Rule) + "]";
+  bool Reported = false;
+  for (const Diag &D : Diags.diags())
+    Reported |= D.Kind == DiagKind::Error && D.Loc.Line == Line &&
+                D.Message.find(Tag) != std::string::npos;
+  EXPECT_TRUE(Reported) << Diags.str();
+}
+
+} // namespace
+
+TEST(PlanAudit, PlacementPastUseRejected) {
+  CompileResult R = compile(kStencil);
+  RoutineResult &RR = R.Routines[0];
+  ASSERT_GE(RR.Plan.Groups.size(), 2u);
+  // Move the first communication to just after its use (line 9,
+  // a(i,j) = b(i-1,j)): the error names that use.
+  const CommEntry &E = RR.Plan.Entries[RR.Plan.Groups[0].Members[0]];
+  RR.Plan.Groups[0].Placement = RR.Ctx->G.slotAfter(E.UseStmt);
+  expectLocatedViolation(RR, VerifyRule::AvailCoverage, E.Id, 9);
+}
+
+TEST(PlanAudit, PlacementBeforeInterveningDefRejected) {
+  CompileResult R = compile(kStencil);
+  RoutineResult &RR = R.Routines[0];
+  ASSERT_EQ(RR.Plan.Groups.size(), 2u);
+  // Hoist the second read's communication to the first one's placement,
+  // before the redefinition of b: the stale read is the second use
+  // (line 19, c(i,j) = b(i-1,j)), not the first.
+  RR.Plan.Groups[1].Placement = RR.Plan.Groups[0].Placement;
+  int Second = RR.Plan.Groups[1].Members[0];
+  expectLocatedViolation(RR, VerifyRule::AvailFreshness, Second, 19);
+}
+
+TEST(PlanAudit, DataNotCoveringEntryRejected) {
+  CompileResult R = compile(kStencil);
+  RoutineResult &RR = R.Routines[0];
+  ASSERT_FALSE(RR.Plan.Groups[0].Data.empty());
+  // Shrink the first group's communicated section to a single element: the
+  // use on line 9 is left uncovered.
+  RegSection One(
+      std::vector<SecDim>{SecDim::single(AffineExpr::constant(1)),
+                          SecDim::single(AffineExpr::constant(1))});
+  RR.Plan.Groups[0].Data[0].D = One;
+  expectLocatedViolation(RR, VerifyRule::AvailCoverage,
+                         RR.Plan.Groups[0].Members[0], 9);
 }
 
 //===----------------------------------------------------------------------===//
