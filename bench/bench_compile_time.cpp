@@ -1,4 +1,4 @@
-//===- bench/bench_compile_time.cpp - pipeline microbenchmarks ------------===//
+//===- bench/bench_compile_time.cpp - pipeline timing benchmarks ----------===//
 //
 // Part of the gcomm project: a reproduction of "Global Communication
 // Analysis and Optimization" (Chakrabarti, Gupta, Choi; PLDI 1996).

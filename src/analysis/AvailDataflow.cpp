@@ -697,79 +697,6 @@ struct AvailDataflow::Impl {
                      SF.Needed.str(&Ctx.R.loopVarNames()).c_str())});
     }
   }
-
-  // --- Partially-dead communication (the [dead-comm] lint base) -------------
-
-  bool groupPartiallyDead(const CommGroup &Grp) const {
-    const Cfg &G = Ctx.G;
-    if (Grp.Kind == CommKind::Reduce || !validSlot(G, Grp.Placement))
-      return false;
-    // Consumption points: the slot before every served use.
-    int N = static_cast<int>(G.numNodes());
-    std::vector<std::vector<int>> Consume(N);
-    auto addUses = [&](const std::vector<int> &Ids) {
-      for (int Id : Ids) {
-        if (Id < 0 || Id >= static_cast<int>(Plan.Entries.size()))
-          continue;
-        const CommEntry &E = Plan.Entries[Id];
-        if (!E.UseStmt)
-          continue;
-        Slot S = G.slotBefore(E.UseStmt);
-        Consume[S.Node].push_back(S.Index);
-      }
-    };
-    addUses(Grp.Members);
-    addUses(Grp.Attached);
-
-    // DFS for a path placement -> EXIT that passes no consumption point.
-    // Zero-trip preheader->postexit edges are not taken, and a header
-    // entered from its preheader must run the body once (exit allowed only
-    // when re-entered over the back edge) — otherwise every loop-hoisted
-    // communication would be "dead" along the skip-the-loop path and the
-    // lint would be pure noise.
-    std::vector<char> Visited(static_cast<size_t>(N) * 2, 0);
-    struct State {
-      int Node;
-      int StartIdx;
-      bool FromBack;
-    };
-    std::vector<State> Stack;
-    Stack.push_back({Grp.Placement.Node, Grp.Placement.Index, false});
-    while (!Stack.empty()) {
-      State S = Stack.back();
-      Stack.pop_back();
-      size_t VKey = static_cast<size_t>(S.Node) * 2 + (S.FromBack ? 1 : 0);
-      if (Visited[VKey])
-        continue;
-      Visited[VKey] = 1;
-      bool Consumed = false;
-      for (int Idx : Consume[S.Node])
-        if (Idx >= S.StartIdx) {
-          Consumed = true;
-          break;
-        }
-      if (Consumed)
-        continue;
-      if (S.Node == G.exit())
-        return true; // Reached EXIT without any use reading the data.
-      int HL = HeaderLoop[S.Node];
-      for (int Succ : G.node(S.Node).Succs) {
-        // A preheader's postexit successor is exactly its loop's zero-trip
-        // edge.
-        if (G.node(S.Node).Kind == NodeKind::Preheader &&
-            G.node(Succ).Kind == NodeKind::Postexit)
-          continue;
-        if (HL >= 0 && !S.FromBack && Succ == G.loop(HL).Postexit)
-          continue; // First entry must iterate at least once.
-        bool NextFromBack = false;
-        int SuccHL = HeaderLoop[Succ];
-        if (SuccHL >= 0 && S.Node != G.loop(SuccHL).Preheader)
-          NextFromBack = true;
-        Stack.push_back({Succ, 0, NextFromBack});
-      }
-    }
-    return false;
-  }
 };
 
 AvailDataflow::AvailDataflow(const AnalysisContext &Ctx, const CommPlan &Plan)
@@ -781,14 +708,6 @@ void AvailDataflow::check(VerifyReport &Report) const { I->check(Report); }
 
 int AvailDataflow::numFacts() const {
   return static_cast<int>(I->Facts.size());
-}
-
-std::vector<int> AvailDataflow::partiallyDeadGroups() const {
-  std::vector<int> Out;
-  for (const CommGroup &Grp : I->Plan.Groups)
-    if (I->groupPartiallyDead(Grp))
-      Out.push_back(Grp.Id);
-  return Out;
 }
 
 VerifyReport gca::verifyPlan(const AnalysisContext &Ctx, const CommPlan &Plan,

@@ -56,17 +56,13 @@
 
 #include "analysis/IrVerify.h"
 
-#include <cstdint>
 #include <memory>
-#include <vector>
 
 namespace gca {
 
 /// The availability fixed point of one plan over one routine's CFG.
 /// Construction builds the GEN/KILL tables; check() runs the three dataflow
-/// checker families, solving each domain the first time it queries it, and
-/// partiallyDeadGroups() exposes the consumption analysis the [dead-comm]
-/// lint rule is built on (it queries, and so solves, neither domain). Not
+/// checker families, solving each domain the first time it queries it. Not
 /// safe to use from two threads at once.
 class AvailDataflow {
 public:
@@ -79,13 +75,6 @@ public:
   /// families, appending violations to \p Report and bumping its Facts /
   /// Checks counters.
   void check(VerifyReport &Report) const;
-
-  /// Ids of groups with at least one path from their placement to EXIT on
-  /// which no served use consumes the communicated data (partially-dead
-  /// communication). Zero-trip loop bypasses are not counted as paths —
-  /// every loop-hoisted communication is "dead" along those — so a warning
-  /// means a genuine at-least-one-iteration path never reads the data.
-  std::vector<int> partiallyDeadGroups() const;
 
   /// Number of availability facts tracked (one per non-reduction entry with
   /// a resolvable serving group).

@@ -7,9 +7,9 @@
 
 #include "analysis/CommLint.h"
 
-#include "analysis/AvailDataflow.h"
 #include "support/StrUtil.h"
 
+#include <cstdint>
 #include <functional>
 #include <set>
 
@@ -27,8 +27,8 @@ struct ValueRange {
 class Linter {
 public:
   Linter(const AnalysisContext &Ctx, const CommPlan &Plan,
-         const CommPlan *Baseline, DiagEngine &Diags)
-      : Ctx(Ctx), Plan(Plan), Baseline(Baseline), Diags(Diags) {}
+         std::optional<int> OrigGroups, DiagEngine &Diags)
+      : Ctx(Ctx), Plan(Plan), OrigGroups(OrigGroups), Diags(Diags) {}
 
   int run() {
     checkUndistributedInDistributedLoop();
@@ -126,14 +126,12 @@ private:
       if (D.Kind == DefKind::Regular)
         return D.Stmt;
     }
-    for (unsigned I = 0, N = Ctx.S.numDefs(); I != N; ++I) {
-      const SsaDef &D = Ctx.S.def(static_cast<int>(I));
-      if (D.Kind != DefKind::Regular || !Ctx.S.varIsArray(D.Var) ||
-          Ctx.S.arrayOfVar(D.Var) != E.ArrayId)
-        continue;
+    // The array's regular defs, in program order (the id order).
+    for (int DefId : Ctx.S.arrayDefs(E.ArrayId)) {
+      const AssignStmt *Def = Ctx.S.def(DefId).Stmt;
       for (const ArrayRef &Ref : E.Refs)
-        if (Ctx.Dep.depLevel(D.Stmt, E.UseStmt, Ref) >= E.CommLevel)
-          return D.Stmt;
+        if (Ctx.Dep.depLevel(Def, E.UseStmt, Ref) >= E.CommLevel)
+          return Def;
     }
     return nullptr;
   }
@@ -261,10 +259,10 @@ private:
   // --- [no-comm-benefit] --------------------------------------------------------
 
   void checkNoCommBenefit() {
-    if (!Baseline || Plan.Strat == Strategy::Orig || Plan.Entries.empty())
+    if (!OrigGroups || Plan.Strat == Strategy::Orig || Plan.Entries.empty())
       return;
     if (Plan.Stats.NumEliminated > 0 ||
-        Plan.Stats.totalGroups() < Baseline->Stats.totalGroups())
+        Plan.Stats.totalGroups() < *OrigGroups)
       return;
     warn(SourceLoc(),
          strFormat("global placement found no improvement over message "
@@ -275,17 +273,93 @@ private:
 
   // --- [dead-comm] --------------------------------------------------------------
 
-  /// Partially-dead communication: the availability dataflow's consumption
-  /// analysis found a genuine (at-least-one-iteration) path from a group's
-  /// placement to EXIT on which no served use reads the data — the message
-  /// is paid for on that path but never consumed. Typically an IF arm that
-  /// branches around every use of the communicated section.
+  /// The loop \p Node heads, or -1 when it is no loop header.
+  int headedLoop(int Node) const {
+    return Ctx.G.node(Node).Kind == NodeKind::Header ? Ctx.G.loopOf(Node) : -1;
+  }
+
+  /// Is there a genuine (at-least-one-iteration) path from \p Grp's
+  /// placement to EXIT on which no served use reads the data? The walk
+  /// reads only the CFG and the plan. Its per-node tables are allocated
+  /// once per routine and belong to the group whose walk stamped them with
+  /// the current epoch: the last consumption index in each node, and two
+  /// visited bits per node (entered from outside, or over a back edge).
+  bool partiallyDead(const CommGroup &Grp) {
+    const Cfg &G = Ctx.G;
+    const Slot &P = Grp.Placement;
+    if (Grp.Kind == CommKind::Reduce || P.Node < 0 ||
+        P.Node >= static_cast<int>(G.numNodes()) || P.Index < 0 ||
+        P.Index > static_cast<int>(G.node(P.Node).Stmts.size()))
+      return false;
+    ++Epoch;
+    // Consumption points: the slot before every served use. A node consumes
+    // the data from index I on when its last consumption index is >= I.
+    auto addUses = [&](const std::vector<int> &Ids) {
+      for (int Id : Ids) {
+        if (Id < 0 || Id >= static_cast<int>(Plan.Entries.size()))
+          continue;
+        const CommEntry &E = Plan.Entries[Id];
+        if (!E.UseStmt)
+          continue;
+        Slot S = G.slotBefore(E.UseStmt);
+        if (ConsumeEpoch[S.Node] != Epoch || LastConsume[S.Node] < S.Index) {
+          ConsumeEpoch[S.Node] = Epoch;
+          LastConsume[S.Node] = S.Index;
+        }
+      }
+    };
+    addUses(Grp.Members);
+    addUses(Grp.Attached);
+
+    // DFS for a path placement -> EXIT that passes no consumption point.
+    // Zero-trip preheader->postexit edges are not taken, and a header
+    // entered from its preheader must run the body once (exit allowed only
+    // when re-entered over the back edge) — otherwise every loop-hoisted
+    // communication would be "dead" along the skip-the-loop path and the
+    // lint would be pure noise.
+    Stack.clear();
+    Stack.push_back({P.Node, P.Index, false});
+    while (!Stack.empty()) {
+      WalkState S = Stack.back();
+      Stack.pop_back();
+      uint32_t &Seen = VisitEpoch[static_cast<size_t>(S.Node) * 2 + S.FromBack];
+      if (Seen == Epoch)
+        continue;
+      Seen = Epoch;
+      if (ConsumeEpoch[S.Node] == Epoch && LastConsume[S.Node] >= S.StartIdx)
+        continue;
+      if (S.Node == G.exit())
+        return true; // Reached EXIT without any use reading the data.
+      int HL = headedLoop(S.Node);
+      for (int Succ : G.node(S.Node).Succs) {
+        // A preheader's postexit successor is exactly its loop's zero-trip
+        // edge.
+        if (G.node(S.Node).Kind == NodeKind::Preheader &&
+            G.node(Succ).Kind == NodeKind::Postexit)
+          continue;
+        if (HL >= 0 && !S.FromBack && Succ == G.loop(HL).Postexit)
+          continue; // First entry must iterate at least once.
+        int SuccHL = headedLoop(Succ);
+        bool NextFromBack = SuccHL >= 0 && S.Node != G.loop(SuccHL).Preheader;
+        Stack.push_back({Succ, 0, NextFromBack});
+      }
+    }
+    return false;
+  }
+
+  /// Partially-dead communication: a group's message is paid for on some
+  /// path from its placement to EXIT but never consumed there. Typically an
+  /// IF arm that branches around every use of the communicated section.
   void checkDeadComm() {
     if (Plan.Groups.empty())
       return;
-    AvailDataflow DF(Ctx, Plan);
-    for (int GId : DF.partiallyDeadGroups()) {
-      const CommGroup &G = Plan.Groups[GId];
+    size_t N = Ctx.G.numNodes();
+    ConsumeEpoch.assign(N, 0);
+    LastConsume.assign(N, 0);
+    VisitEpoch.assign(2 * N, 0);
+    for (const CommGroup &G : Plan.Groups) {
+      if (!partiallyDead(G))
+        continue;
       // Cite the first member's use so the warning lands on user code.
       SourceLoc Loc;
       std::string Array = "?";
@@ -311,14 +385,25 @@ private:
 
   const AnalysisContext &Ctx;
   const CommPlan &Plan;
-  const CommPlan *Baseline;
+  std::optional<int> OrigGroups;
   DiagEngine &Diags;
   int NumWarnings = 0;
+
+  /// The [dead-comm] walk's scratch (see partiallyDead).
+  struct WalkState {
+    int Node;
+    int StartIdx;
+    bool FromBack;
+  };
+  std::vector<WalkState> Stack;
+  std::vector<uint32_t> ConsumeEpoch, VisitEpoch;
+  std::vector<int> LastConsume;
+  uint32_t Epoch = 0;
 };
 
 } // namespace
 
 int gca::lintRoutine(const AnalysisContext &Ctx, const CommPlan &Plan,
-                     const CommPlan *Baseline, DiagEngine &Diags) {
-  return Linter(Ctx, Plan, Baseline, Diags).run();
+                     std::optional<int> OrigGroups, DiagEngine &Diags) {
+  return Linter(Ctx, Plan, OrigGroups, Diags).run();
 }

@@ -22,10 +22,13 @@
 ///  - [no-comm-benefit]: the routine's plan is no better than plain message
 ///    vectorization — nothing was eliminated or combined, suggesting the
 ///    loop structure blocks the global optimizations.
-///  - [dead-comm]: a placed communication is partially dead — the
-///    availability dataflow (analysis/AvailDataflow.h) found a genuine path
-///    from its placement to the routine exit on which no served use reads
-///    the data (typically an IF arm that skips every use).
+///  - [dead-comm]: a placed communication is partially dead — lint's own
+///    walk over the CFG found a genuine path from its placement to the
+///    routine exit on which no served use reads the data (typically an IF
+///    arm that skips every use).
+///
+/// The rules read the routine's context and its plan, nothing else: lint
+/// neither solves the verifier's dataflow nor places the routine again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,14 +39,17 @@
 #include "core/Context.h"
 #include "support/Diag.h"
 
+#include <optional>
+
 namespace gca {
 
 /// Runs every lint rule over one analyzed routine. \p Plan is the plan the
-/// compilation produced; \p Baseline optionally supplies the pure
-/// message-vectorization (Strategy::Orig) plan, enabling the
+/// compilation produced; \p OrigGroups optionally supplies the number of
+/// groups plain message vectorization (Strategy::Orig) forms for the same
+/// routine (origGroupCount, core/Placement.h), enabling the
 /// [no-comm-benefit] rule. \returns the number of warnings emitted.
 int lintRoutine(const AnalysisContext &Ctx, const CommPlan &Plan,
-                const CommPlan *Baseline, DiagEngine &Diags);
+                std::optional<int> OrigGroups, DiagEngine &Diags);
 
 } // namespace gca
 

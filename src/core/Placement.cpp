@@ -343,6 +343,22 @@ public:
     return Plan;
   }
 
+  /// origGroupCount: the groups runOrig would form, from a copy of
+  /// \p Placed's entries. Only buildGroups runs: Orig pins every group
+  /// where it opened, so finalizeGroups would not move or merge any.
+  int origGroups(const CommPlan &Placed) {
+    CommPlan Plan;
+    Plan.Entries = Placed.Entries;
+    for (CommEntry &E : Plan.Entries) {
+      E.Eliminated = false;
+      E.Chosen = E.LatestSlot;
+    }
+    AsdIdx.reset(static_cast<int>(Plan.Entries.size()));
+    computeClasses(Plan);
+    buildGroups(Plan);
+    return static_cast<int>(Plan.Groups.size());
+  }
+
 private:
   /// Per-entry Earliest/Latest analysis (Sections 4.2-4.4). Each entry's
   /// candidate list is copied into the plan's arena twice: Candidates
@@ -569,8 +585,8 @@ private:
                         Opts.Strat == Strategy::Optimal ||
                         Opts.Strat == Strategy::EarliestCombine;
     if (!CrossCombine) {
-      // Baselines only coalesce same-array data and never combine
-      // reductions (combining is the new algorithm's contribution).
+      // The baseline strategies only coalesce same-array data and never
+      // combine reductions (combining is the new algorithm's contribution).
       if (E.M.Kind == CommKind::Reduce)
         return false;
       for (int M : G.Members)
@@ -1490,6 +1506,14 @@ private:
 CommPlan gca::planCommunication(const AnalysisContext &Ctx,
                                 const PlacementOptions &Opts) {
   return Placer(Ctx, Opts).run();
+}
+
+int gca::origGroupCount(const AnalysisContext &Ctx, const CommPlan &Plan,
+                        const PlacementOptions &Opts) {
+  PlacementOptions OrigOpts = Opts;
+  OrigOpts.Strat = Strategy::Orig;
+  OrigOpts.Stats = nullptr;
+  return Placer(Ctx, OrigOpts).origGroups(Plan);
 }
 
 std::string CommPlan::str(const Routine &R) const {

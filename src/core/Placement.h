@@ -28,6 +28,15 @@ namespace gca {
 CommPlan planCommunication(const AnalysisContext &Ctx,
                            const PlacementOptions &Opts);
 
+/// The number of groups Strategy::Orig forms for the routine \p Plan was
+/// placed for, under the options \p Opts it was placed with, without
+/// placing the routine again. Orig groups every entry at its Latest slot,
+/// and detection and Latest do not depend on the strategy, except for a
+/// deferred reduction's Latest; Orig never joins a reduction, so running
+/// Orig's grouping over \p Plan's own entries gives Orig's exact count.
+int origGroupCount(const AnalysisContext &Ctx, const CommPlan &Plan,
+                   const PlacementOptions &Opts);
+
 /// Estimated per-processor message bytes for one descriptor placed at
 /// nesting level \p Level (used for the 20 KB combining threshold).
 int64_t estimatePerProcBytes(const AnalysisContext &Ctx, const Asd &A,

@@ -320,11 +320,13 @@ static bool passLint(Session &S) {
     return true;
   S.forEachRoutine("lint", [&](size_t I, StatsRegistry &Stats) {
     RoutineResult &RR = S.Result.Routines[I];
-    const CommPlan *Baseline = S.origBaseline(I);
-    if (Baseline)
-      Stats.add("placement.baseline-groups", Baseline->Stats.totalGroups());
+    std::optional<int> OrigGroups;
+    if (S.Opts.Placement.Strat != Strategy::Orig) {
+      OrigGroups = origGroupCount(*RR.Ctx, RR.Plan, S.Opts.Placement);
+      Stats.add("placement.baseline-groups", *OrigGroups);
+    }
     Stats.add("lint.warnings",
-              lintRoutine(*RR.Ctx, RR.Plan, Baseline, S.Diags));
+              lintRoutine(*RR.Ctx, RR.Plan, OrigGroups, S.Diags));
     return true;
   });
   return true;
@@ -465,21 +467,6 @@ bool Session::forEachRoutine(
     AllOk = Ok && AllOk;
   }
   return AllOk;
-}
-
-const CommPlan *Session::origBaseline(size_t RoutineIdx) {
-  if (Opts.Placement.Strat == Strategy::Orig)
-    return nullptr;
-  if (Baselines.size() < Result.Routines.size())
-    Baselines.resize(Result.Routines.size());
-  if (!Baselines[RoutineIdx]) {
-    PlacementOptions BaseOpts = Opts.Placement;
-    BaseOpts.Strat = Strategy::Orig;
-    BaseOpts.Stats = nullptr; // Don't fold baseline work into plan counters.
-    Baselines[RoutineIdx] = std::make_unique<CommPlan>(
-        planCommunication(*Result.Routines[RoutineIdx].Ctx, BaseOpts));
-  }
-  return Baselines[RoutineIdx].get();
 }
 
 std::string Session::dump() const {

@@ -106,12 +106,6 @@ public:
   /// instrumentation (Stats, Times, Passes, Dumps) for reporting.
   CompileResult take();
 
-  /// The Strategy::Orig baseline plan for live routine \p RoutineIdx,
-  /// computed on first request and cached — the lint no-benefit rule and
-  /// any stats consumer share one computation. Null when the session's own
-  /// strategy already is Orig.
-  const CommPlan *origBaseline(size_t RoutineIdx);
-
   /// --- Routine-granularity incremental recompilation -------------------
   ///
   /// Every pass reads one routine at a time plus the file's header
@@ -201,7 +195,6 @@ public:
   CompileResult Result;
 
 private:
-  std::vector<std::unique_ptr<CommPlan>> Baselines;
   bool Taken = false;
   /// Set by replayResult(): take() must keep the replayed Diagnostics
   /// instead of re-rendering the (empty) DiagEngine.

@@ -789,45 +789,3 @@ std::optional<CollSelection> gca::selectAlgorithm(CollOp Op, int Procs,
   }
   return Best;
 }
-
-MicrobenchStats gca::microbench(const CollSchedule &S, const MachineProfile &M,
-                                int Warmup, int NumIter, uint64_t Seed) {
-  MicrobenchStats Out;
-  if (NumIter <= 0)
-    return Out;
-  CollCost Base = scheduleTime(S, M, collOpPacked(S.Op));
-  // Deterministic congestion jitter: a seeded LCG perturbs every round of
-  // every iteration; warmup iterations additionally pay a decaying
-  // cold-start factor and are discarded, the CommBench discipline.
-  uint64_t X = Seed ^ 0x9E3779B97F4A7C15ull;
-  auto NextUnit = [&X]() {
-    X = X * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<double>(X >> 11) / 9007199254740992.0;
-  };
-  std::vector<double> Times;
-  Times.reserve(static_cast<size_t>(NumIter));
-  for (int I = 0; I != Warmup + NumIter; ++I) {
-    double T = 0;
-    for (double R : Base.RoundTimes)
-      T += R * (1.0 + 0.12 * NextUnit());
-    if (I < Warmup) {
-      T *= 1.0 + 0.5 / (1.0 + I);
-      (void)T; // Measured but discarded, as a real harness would.
-      continue;
-    }
-    Times.push_back(T);
-  }
-  std::vector<double> Sorted = Times;
-  std::sort(Sorted.begin(), Sorted.end());
-  Out.Iters = NumIter;
-  Out.MinSec = Sorted.front();
-  Out.MaxSec = Sorted.back();
-  size_t N = Sorted.size();
-  Out.MedSec = N % 2 ? Sorted[N / 2]
-                     : 0.5 * (Sorted[N / 2 - 1] + Sorted[N / 2]);
-  double Sum = 0;
-  for (double T : Times)
-    Sum += T;
-  Out.AvgSec = Sum / static_cast<double>(N);
-  return Out;
-}

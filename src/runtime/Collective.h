@@ -166,23 +166,6 @@ std::optional<CollSelection> selectAlgorithm(CollOp Op, int Procs,
                                              double Bytes,
                                              const MachineProfile &M);
 
-/// CommBench-style microbenchmark discipline over a schedule: \p Warmup
-/// discarded iterations followed by \p NumIter measured ones, reported as
-/// min/median/average/max. The per-iteration jitter is a deterministic
-/// function of \p Seed (a seeded LCG perturbs each round's time by a small
-/// congestion factor; warmup iterations also pay a decaying cold-start
-/// penalty), so results are bitwise reproducible.
-struct MicrobenchStats {
-  int Iters = 0;
-  double MinSec = 0;
-  double MedSec = 0;
-  double AvgSec = 0;
-  double MaxSec = 0;
-};
-
-MicrobenchStats microbench(const CollSchedule &S, const MachineProfile &M,
-                           int Warmup, int NumIter, uint64_t Seed);
-
 } // namespace gca
 
 #endif // GCA_RUNTIME_COLLECTIVE_H

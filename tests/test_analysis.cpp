@@ -34,11 +34,11 @@ CompileResult compile(const std::string &Source,
 }
 
 /// Runs the lint rules over the first routine and returns the rendered
-/// diagnostics (no baseline plan: the [no-comm-benefit] rule stays off).
+/// diagnostics (no Orig group count: the [no-comm-benefit] rule stays off).
 std::string lint(const std::string &Source) {
   CompileResult R = compile(Source);
   DiagEngine Diags;
-  lintRoutine(*R.Routines[0].Ctx, R.Routines[0].Plan, nullptr, Diags);
+  lintRoutine(*R.Routines[0].Ctx, R.Routines[0].Plan, std::nullopt, Diags);
   return Diags.str();
 }
 
@@ -178,7 +178,7 @@ TEST(CommLint, UnusedArrayNegative) {
 TEST(CommLint, NoCommBenefitWarns) {
   // One shift, nothing to eliminate or combine: the global strategy matches
   // plain vectorization. Exercised through the driver, which supplies the
-  // baseline plan.
+  // Orig group count.
   CompileOptions Opts;
   Opts.Lint = true;
   CompileResult R = compileSource("program p\n"

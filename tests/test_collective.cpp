@@ -207,29 +207,6 @@ TEST(Collective, DirectExchangeMatchesMonolithicShiftCost) {
 }
 
 //===----------------------------------------------------------------------===//
-// Microbenchmark discipline.
-//===----------------------------------------------------------------------===//
-
-TEST(Collective, MicrobenchIsSeededAndOrdered) {
-  MachineProfile M = *MachineProfile::byName("sp2");
-  auto S = buildSchedule(CollOp::Allreduce, CollAlgo::Ring, 8, 65536, M);
-  ASSERT_TRUE(S.has_value());
-  MicrobenchStats A = microbench(*S, M, 3, 10, 42);
-  MicrobenchStats B = microbench(*S, M, 3, 10, 42);
-  EXPECT_EQ(A.MinSec, B.MinSec);
-  EXPECT_EQ(A.MedSec, B.MedSec);
-  EXPECT_EQ(A.MaxSec, B.MaxSec);
-  EXPECT_EQ(A.Iters, 10);
-  EXPECT_LE(A.MinSec, A.MedSec);
-  EXPECT_LE(A.MedSec, A.AvgSec * (1 + 1e-9) + A.MaxSec * 1e-9);
-  EXPECT_LE(A.AvgSec, A.MaxSec);
-  // A different seed perturbs the jitter but not the scale.
-  MicrobenchStats C = microbench(*S, M, 3, 10, 7);
-  EXPECT_NE(A.MedSec, C.MedSec);
-  EXPECT_NEAR(A.MedSec, C.MedSec, 0.3 * A.MedSec);
-}
-
-//===----------------------------------------------------------------------===//
 // The lowering pass: classification, decision log, annotations.
 //===----------------------------------------------------------------------===//
 

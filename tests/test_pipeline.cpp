@@ -7,15 +7,17 @@
 //
 // The instrumented pass pipeline of driver/Pipeline.h: determinism of
 // parallel batch compilation, the Scalarize x Fuse x Lint options matrix
-// under verification, preservation of frontend warnings, lint-baseline
-// reuse, per-pass instrumentation, and dump-after hooks.
+// under verification, preservation of frontend warnings, lint's Orig group
+// count, per-pass instrumentation, and dump-after hooks.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
 
 #include "analysis/CommLint.h"
+#include "support/StrUtil.h"
 #include "support/ThreadPool.h"
+#include "workloads/Synth.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -172,34 +174,52 @@ TEST(Pipeline, MatchedOverridesStayQuiet) {
 }
 
 //===----------------------------------------------------------------------===//
-// Lint baseline reuse
+// Lint's Orig group count
 //===----------------------------------------------------------------------===//
 
 TEST(Pipeline, BaselineReuseMatchesFreshBaseline) {
-  for (const Workload *W : evaluationWorkloads()) {
-    CompileOptions Opts;
+  // Lint counts Orig's groups from the routine's own plan (origGroupCount)
+  // instead of placing it again. The count must equal a real Orig
+  // placement's, and lint must warn exactly as it does when handed that
+  // placement's count, under every strategy that counts and under the
+  // options that change detection, Latest or the routines themselves.
+  std::vector<std::pair<std::string, std::string>> Inputs;
+  for (const Workload *W : evaluationWorkloads())
+    Inputs.emplace_back(W->Name, W->Source);
+  Inputs.emplace_back("synth 8x150", synthRoutinesSource(8, 150, 1));
+  for (Strategy Strat : {Strategy::Earliest, Strategy::Global,
+                         Strategy::Optimal, Strategy::EarliestCombine}) {
+    for (int Set = 0; Set != 4; ++Set) {
+      CompileOptions Opts;
+      Opts.Placement.Strat = Strat;
+      Opts.Verify = VerifyMode::Off;
       Opts.Lint = true;
-    // Through the session: the Orig baseline is computed once per routine
-    // and shared between lint and the stats registry.
-    Session S(W->Source, Opts);
-    ASSERT_TRUE(S.run());
-    int64_t BaselineGroups = S.Stats.get("placement.baseline-groups");
-    CompileResult R = S.take();
+      Opts.Placement.DeferReductions = Opts.Placement.PartialRedundancy =
+          Set == 1;
+      Opts.FuseLoops = Set == 2;
+      Opts.Scalarize = Set != 3;
+      for (const auto &[Name, Source] : Inputs) {
+        std::string Where =
+            strFormat("%s, option set %d, %s", strategyName(Strat), Set,
+                      Name.c_str());
+        Session S(Source, Opts);
+        ASSERT_TRUE(S.run()) << Where;
+        int64_t Counted = S.Stats.get("placement.baseline-groups");
+        CompileResult R = S.take();
 
-    // By hand: a fresh baseline per routine.
-    CompileOptions Plain;
-    CompileResult Fresh = compileSource(W->Source, Plain);
-    DiagEngine Diags;
-    int64_t FreshGroups = 0;
-    for (const RoutineResult &RR : Fresh.Routines) {
-      PlacementOptions BaseOpts = Plain.Placement;
-      BaseOpts.Strat = Strategy::Orig;
-      CommPlan Baseline = planCommunication(*RR.Ctx, BaseOpts);
-      FreshGroups += Baseline.Stats.totalGroups();
-      lintRoutine(*RR.Ctx, RR.Plan, &Baseline, Diags);
+        PlacementOptions OrigOpts = Opts.Placement;
+        OrigOpts.Strat = Strategy::Orig;
+        DiagEngine Diags;
+        int64_t Placed = 0;
+        for (const RoutineResult &RR : R.Routines) {
+          int N = planCommunication(*RR.Ctx, OrigOpts).Stats.totalGroups();
+          Placed += N;
+          lintRoutine(*RR.Ctx, RR.Plan, N, Diags);
+        }
+        EXPECT_EQ(Counted, Placed) << Where;
+        EXPECT_EQ(R.Diagnostics, Diags.str()) << Where;
+      }
     }
-    EXPECT_EQ(R.Diagnostics, Diags.str()) << W->Name;
-    EXPECT_EQ(BaselineGroups, FreshGroups) << W->Name;
   }
 }
 

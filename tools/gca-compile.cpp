@@ -33,7 +33,7 @@
 #include "driver/CachedPipeline.h"
 #include "driver/Pipeline.h"
 #include "driver/Serve.h"
-#include "runtime/Collective.h"
+#include "runtime/Machine.h"
 #include "support/Io.h"
 #include "support/Json.h"
 #include "support/Stats.h"
@@ -117,13 +117,6 @@ struct ToolOptions {
   /// --log-slow=MS: flag requests slower than MS in the log and pin them
   /// in /tracez.
   double LogSlowMs = 0;
-  /// --microbench: run the CommBench-style collective microbenchmark sweep
-  /// instead of compiling (op x algorithm x size table on --machine).
-  bool Microbench = false;
-  int MbWarmup = 3;
-  int MbIters = 10;
-  uint64_t MbSeed = 42;
-  int MbProcs = 16;
 };
 
 struct Input {
@@ -464,56 +457,6 @@ int serveMain(const ToolOptions &Opts, ResultCache *Cache) {
   return Status;
 }
 
-/// CommBench-style collective microbenchmark: sweeps every operation x
-/// candidate-algorithm x message-size point on the selected machine profile
-/// with the warmup/numiter discipline and prints min/med/avg/max per row.
-/// The per-iteration jitter is seeded, so the table is reproducible.
-int microbenchMain(const ToolOptions &Opts) {
-  std::optional<MachineProfile> M = MachineProfile::byName(Opts.Compile.Machine);
-  if (!M) {
-    std::string Known;
-    for (const std::string &Name : MachineProfile::listProfiles())
-      Known += Known.empty() ? Name : " " + Name;
-    std::fprintf(stderr, "error: unknown machine profile '%s' (known: %s)\n",
-                 Opts.Compile.Machine.c_str(), Known.c_str());
-    return 2;
-  }
-  static const double Sizes[] = {64, 1024, 16384, 262144, 1048576};
-  std::printf("# machine=%s procs=%d warmup=%d iters=%d seed=%llu\n",
-              M->Name.c_str(), Opts.MbProcs, Opts.MbWarmup, Opts.MbIters,
-              static_cast<unsigned long long>(Opts.MbSeed));
-  std::printf("%-10s %-18s %10s %12s %12s %12s %12s\n", "op", "algo",
-              "bytes", "min(us)", "med(us)", "avg(us)", "max(us)");
-  for (CollOp Op : {CollOp::Allreduce, CollOp::Bcast, CollOp::Alltoallv,
-                    CollOp::NeighborExchange}) {
-    for (CollAlgo Algo : candidateAlgos(Op)) {
-      for (double Bytes : Sizes) {
-        std::optional<CollSchedule> S;
-        if (Op == CollOp::NeighborExchange)
-          S = exchangeSchedule(Opts.MbProcs,
-                               std::vector<double>(2, Bytes / 2), Algo);
-        else
-          S = buildSchedule(Op, Algo, Opts.MbProcs, Bytes, *M);
-        if (!S)
-          continue;
-        std::string Err;
-        if (!verifyDelivery(*S, &Err)) {
-          std::fprintf(stderr, "error: %s/%s delivery check failed: %s\n",
-                       collOpName(Op), collAlgoName(Algo), Err.c_str());
-          return 1;
-        }
-        MicrobenchStats St =
-            microbench(*S, *M, Opts.MbWarmup, Opts.MbIters, Opts.MbSeed);
-        std::printf("%-10s %-18s %10.0f %12.3f %12.3f %12.3f %12.3f\n",
-                    collOpName(Op), collAlgoName(Algo), Bytes,
-                    St.MinSec * 1e6, St.MedSec * 1e6, St.AvgSec * 1e6,
-                    St.MaxSec * 1e6);
-      }
-    }
-  }
-  return 0;
-}
-
 /// Largest worker count --jobs and --serve-jobs accept.
 constexpr unsigned kMaxJobs = 1024;
 
@@ -545,13 +488,6 @@ int usage(const char *Argv0) {
       "                         simulation (default sp2; see "
       "--list-machines)\n"
       "  --list-machines        print the machine-profile registry and exit\n"
-      "  --microbench           run the CommBench-style collective sweep on\n"
-      "                         --machine instead of compiling: every op x\n"
-      "                         algorithm x size, min/med/avg/max after "
-      "warmup\n"
-      "  --mb-warmup=N --mb-iters=N --mb-seed=S --mb-procs=P\n"
-      "                         microbenchmark discipline (defaults 3/10/42/"
-      "16)\n"
       "  --no-scalarize --fuse --lint --no-lint\n"
       "  --verify[=final|each|off]  translation validation: re-verify every\n"
       "                         plan with the independent availability\n"
@@ -757,24 +693,6 @@ int main(int argc, char **argv) {
       for (const std::string &Name : MachineProfile::listProfiles())
         std::printf("%s\n", Name.c_str());
       return 0;
-    } else if (Arg == "--microbench") {
-      Opts.Microbench = true;
-    } else if (Arg.rfind("--mb-warmup=", 0) == 0) {
-      if (!parseCount(Arg.substr(std::strlen("--mb-warmup=")), 0, INT_MAX,
-                      Opts.MbWarmup))
-        return usage(argv[0]);
-    } else if (Arg.rfind("--mb-iters=", 0) == 0) {
-      if (!parseCount(Arg.substr(std::strlen("--mb-iters=")), 1, INT_MAX,
-                      Opts.MbIters))
-        return usage(argv[0]);
-    } else if (Arg.rfind("--mb-seed=", 0) == 0) {
-      if (!parseCount(Arg.substr(std::strlen("--mb-seed=")), 0, UINT64_MAX,
-                      Opts.MbSeed))
-        return usage(argv[0]);
-    } else if (Arg.rfind("--mb-procs=", 0) == 0) {
-      if (!parseCount(Arg.substr(std::strlen("--mb-procs=")), 1, INT_MAX,
-                      Opts.MbProcs))
-        return usage(argv[0]);
     } else if (Arg == "-p") {
       const char *Eq = I + 1 < argc ? std::strchr(argv[I + 1], '=') : nullptr;
       int64_t Value = 0;
@@ -787,14 +705,6 @@ int main(int argc, char **argv) {
     } else {
       Paths.push_back(Arg);
     }
-  }
-
-  if (Opts.Microbench) {
-    if (!Paths.empty() || Opts.Workloads || !Opts.ServeSpec.empty()) {
-      std::fprintf(stderr, "error: --microbench takes no inputs\n");
-      return 2;
-    }
-    return microbenchMain(Opts);
   }
 
   for (const std::string &Path : Paths) {
