@@ -2,10 +2,15 @@
 # Full local check, in four stages:
 #   1. regular build + the whole ctest suite (use `ctest -L tier1` by hand
 #      for the fast gate), then the same suite in a Release build, in
-#      parallel, so timing-sensitive tests run in both build types;
-#   2. Debug build with the translation validator between every pass
-#      (--verify=each) over examples/ and the built-in workloads, plus the
-#      fuzz shards (which use the verifier as their plan oracle);
+#      parallel, so timing-sensitive tests run in both build types, then a
+#      seeded synth sweep under the plan verifier in that Release build:
+#      synth-2000 seeds 3000031-3000070, and synth-400 seeds 7001-7040
+#      under each of orig, nored, earlycomb, --fuse, --no-scalarize and
+#      --defer-reductions --partial-redundancy (280 programs, each of which
+#      must verify clean);
+#   2. Debug build with the translation validator over examples/ and the
+#      built-in workloads, plus the fuzz shards (which use the verifier as
+#      their plan oracle);
 #   3. ASan/UBSan build + the whole suite, with bounds-checked standard
 #      containers (-D_GLIBCXX_ASSERTIONS) and UBSan reports fatal
 #      (-fno-sanitize-recover=undefined), so either one fails its test;
@@ -33,16 +38,32 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release "$@"
 cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
-echo "== verifier build (Debug, --verify=each) =="
+echo "== synth sweep under the verifier (Release) =="
+# Release turns verify off by default, so --verify turns it on; a violation
+# makes gca-compile exit nonzero and fails the stage.
+for S in $(seq 3000031 3000070); do
+  build-release/tools/gca-compile --no-plans --verify --synth=2000 \
+    --synth-seed="$S" > /dev/null
+done
+for O in --strategy=orig --strategy=nored --strategy=earlycomb --fuse \
+  --no-scalarize "--defer-reductions --partial-redundancy"; do
+  for S in $(seq 7001 7040); do
+    # $O is unquoted on purpose: it may hold two flags.
+    build-release/tools/gca-compile --no-plans --verify --synth=400 \
+      --synth-seed="$S" $O > /dev/null
+  done
+done
+
+echo "== verifier build (Debug, --verify) =="
 # Debug build so every assert is live, then the structural IR verifier and
-# the independent availability dataflow run between every pass over each
-# example and built-in workload. The fuzz shards re-run here too: each seed
-# already calls the verifier as its plan oracle, so this exercises it across
-# all 120 fuzz plans with asserts on.
+# the independent availability dataflow check every example and built-in
+# workload. The fuzz shards re-run here too: each seed already calls the
+# verifier as its plan oracle, so this exercises it across all 120 fuzz
+# plans with asserts on.
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug "$@"
 cmake --build build-debug -j "$JOBS" --target gca-compile gca_fuzz_tests
 build-debug/tools/gca-compile --workloads examples/*.hpf --lint \
-  --verify=each --stats > /dev/null
+  --verify --stats > /dev/null
 ctest --test-dir build-debug -L fuzz --output-on-failure -j "$JOBS"
 
 echo "== sanitizer build (address;undefined) =="

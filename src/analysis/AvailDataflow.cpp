@@ -11,9 +11,11 @@
 #include "support/StrUtil.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
+#include <utility>
 
 using namespace gca;
 
@@ -25,20 +27,25 @@ bool validSlot(const Cfg &G, const Slot &S) {
          S.Index <= static_cast<int>(G.node(S.Node).Stmts.size());
 }
 
-/// Sets bit \p B of the bit row starting at \p Row.
-void rowSetBit(uint64_t *Row, int B) {
-  Row[B >> 6] |= uint64_t(1) << (B & 63);
-}
-
-/// The two simultaneous domains: Reach sees GEN and the structural kills
-/// only ("the communication fired on every path"); Avail additionally sees
-/// the dependence kills ("and no definition made it stale").
-enum Domain { Reach = 0, Avail = 1 };
-
 /// Why a fact can die on a freshness path, for the violation message.
 struct Killer {
   const AssignStmt *Def = nullptr;
   int Level = 0; ///< 0 = loop-independent; else the carrying level.
+};
+
+/// A transfer event of one fact inside a node. Events are applied in
+/// (Pos, IsKill) order: a communication at slot p fires before statement p
+/// executes, so a GEN at p precedes the kill of statement p, and the kill of
+/// statement p precedes a GEN at slot p+1.
+struct Event {
+  int Node = -1;
+  int Pos = 0;
+  bool IsKill = false;
+  bool operator<(const Event &O) const {
+    if (Node != O.Node)
+      return Node < O.Node;
+    return Pos != O.Pos ? Pos < O.Pos : IsKill < O.IsKill;
+  }
 };
 
 /// One availability fact: "entry E's communicated section is available".
@@ -49,17 +56,12 @@ struct Fact {
   bool Generated = false; ///< Descriptors cover the section: GEN emitted.
   RegSection Needed;      ///< The section the use requires (for messages).
   Slot QueryPoint;        ///< slotBefore(UseStmt).
+  int PlaceLoop = -1;     ///< The placement's innermost loop, or -1.
+  /// The GEN and the dependence kills, sorted.
+  std::vector<Event> Events;
+  /// The loops whose back edges carry a dependence kill.
+  std::vector<int> Carried;
   std::vector<Killer> Killers;
-};
-
-/// An intra-node transfer event. Events are applied in (Pos, IsKill) order:
-/// a communication at slot p fires before statement p executes, so a GEN at
-/// p precedes the kill of statement p, and the kill of statement p precedes
-/// a GEN at slot p+1.
-struct Event {
-  int Pos = 0;
-  bool IsKill = false;
-  int FactId = -1;
 };
 
 } // namespace
@@ -70,49 +72,25 @@ struct AvailDataflow::Impl {
 
   std::vector<Fact> Facts;
   std::vector<int> FactOfEntry; ///< Entry id -> fact id (-1).
-  int Words = 0;
-
-  std::vector<std::vector<Event>> Events; ///< Per node, sorted.
-  /// Bit rows are Words words wide and stored flat, row R at R * Words.
-  /// Per loop, the facts killed on its back edge, per domain. Reach carries
-  /// the structural kills (loops enclosing the placement parameterize the
-  /// descriptor); Avail adds the carried-dependence kills.
-  std::vector<uint64_t> BackKill[2];
-  /// Scope rows: the facts alive inside each loop, then one row for the top
-  /// level. A fact's scope — nodes whose loop chain the placement's chain
-  /// prefixes — is exactly the body of the placement's innermost loop, so
-  /// one row per loop stands in for a per-node mask.
-  std::vector<uint64_t> Scope;
-
-  const uint64_t *scopeRow(int Node) const {
-    int L = Ctx.G.loopOf(Node);
-    size_t R = L >= 0 ? static_cast<size_t>(L) : Ctx.G.numLoops();
-    return Scope.data() + R * Words;
-  }
-  /// Per domain, the Out row of every node in one flat array: node N's row
-  /// is the Words words at N * Words. In rows are not stored: the meet
-  /// (computeIn) derives them from the predecessors' Out rows, and a query
-  /// needs only one bit of one. Each domain is solved on its first query
-  /// (query() below), so a run that never reads a domain never pays for it.
-  mutable std::vector<uint64_t> Out[2];
-  mutable bool Solved[2] = {false, false};
-
-  const uint64_t *outRow(int Dom, int Node) const {
-    return Out[Dom].data() + static_cast<size_t>(Node) * Words;
-  }
 
   /// Per loop, then top level last: the loop chain, outermost first. Chain
   /// R is ChainIds[ChainStart[R], ChainStart[R + 1]).
   std::vector<int> ChainIds;
   std::vector<size_t> ChainStart;
-  std::vector<int> HeaderLoop; ///< Node -> loop headed, or -1.
-  std::vector<int> Rpo;
-  std::vector<int> RpoIndex; ///< Node -> position in Rpo, or -1 unreachable.
+  std::vector<int> RpoIndex; ///< Node -> reverse post-order index, or -1.
+
+  /// The walk's state, allocated once per routine: a node belongs to the
+  /// current walk when its Seen entry equals Epoch.
+  mutable std::vector<uint32_t> Seen;
+  mutable uint32_t Epoch = 0;
+  mutable std::vector<int> Pending;
+  mutable int64_t WalkNodes = 0;
 
   Impl(const AnalysisContext &Ctx, const CommPlan &Plan)
       : Ctx(Ctx), Plan(Plan) {
     buildNodeMaps();
     buildFacts();
+    Seen.assign(Ctx.G.numNodes(), 0);
   }
 
   /// The loop chain of \p Node (the loops containing it), outermost first.
@@ -120,6 +98,18 @@ struct AvailDataflow::Impl {
     int L = Ctx.G.loopOf(Node);
     size_t R = L >= 0 ? static_cast<size_t>(L) : ChainStart.size() - 2;
     return {ChainIds.data() + ChainStart[R], ChainStart[R + 1] - ChainStart[R]};
+  }
+
+  /// Is loop \p Inner loop \p L or inside it? -1 is the top level, which
+  /// no loop encloses. A level-k loop is entry k - 1 of the chain of every
+  /// loop it encloses.
+  bool encloses(int L, int Inner) const {
+    if (Inner < 0)
+      return false;
+    size_t Level = static_cast<size_t>(Ctx.G.loop(L).Level);
+    size_t Begin = ChainStart[Inner];
+    return Level <= ChainStart[Inner + 1] - Begin &&
+           ChainIds[Begin + Level - 1] == L;
   }
 
   // --- Construction ---------------------------------------------------------
@@ -137,13 +127,8 @@ struct AvailDataflow::Impl {
       ChainStart.push_back(ChainIds.size());
     }
     ChainStart.push_back(ChainIds.size()); // The top level's empty chain.
-    HeaderLoop.assign(N, -1);
-    for (unsigned L = 0; L != G.numLoops(); ++L) {
-      const CfgLoop &Loop = G.loop(static_cast<int>(L));
-      if (Loop.Header >= 0 && Loop.Header < N)
-        HeaderLoop[Loop.Header] = Loop.Id;
-    }
     // Reverse post-order over successors from ENTRY.
+    std::vector<int> Rpo;
     std::vector<char> State(N, 0); // 0 unvisited, 1 on stack, 2 done.
     std::vector<std::pair<int, size_t>> Stack;
     Stack.emplace_back(G.entry(), 0);
@@ -225,12 +210,6 @@ struct AvailDataflow::Impl {
     const int64_t NumArrays = static_cast<int64_t>(Ctx.R.arrays().size());
     std::vector<int> Picked, QueryRegions;
 
-    Events.assign(N, {});
-    int NumLoops = static_cast<int>(G.numLoops());
-    // Sized after the facts are counted; collect (loop, fact, domain)
-    // back-edge kills first.
-    std::vector<std::pair<int, int>> BackKillReach, BackKillAvail;
-
     // A subsumer cited by a PartiallyReduced event is also queried at the
     // reduced entry's use (check() below), so its kill screen must cover
     // that point too.
@@ -267,9 +246,9 @@ struct AvailDataflow::Impl {
       F.GroupId = Grp.Id;
       F.QueryPoint = G.slotBefore(E.UseStmt);
       F.Placed = validSlot(G, Grp.Placement);
-      int FactId = static_cast<int>(Facts.size());
 
       if (F.Placed) {
+        F.PlaceLoop = G.loopOf(Grp.Placement.Node);
         int Level = Ctx.slotLevel(Grp.Placement);
         F.Needed = E.ReducedD ? *E.ReducedD : neededSection(E, Level);
         // GEN only when the group really communicates the section: array,
@@ -285,16 +264,7 @@ struct AvailDataflow::Impl {
           break;
         }
         if (F.Generated)
-          Events[Grp.Placement.Node].push_back(
-              {Grp.Placement.Index, false, FactId});
-        // Structural kills: every loop enclosing the placement binds a
-        // variable the descriptor may be parameterized by — the fact names
-        // different elements each iteration, so it dies on the back edge
-        // (the placement re-GENs before any use of the next iteration).
-        for (int L : chainOf(Grp.Placement.Node)) {
-          BackKillReach.emplace_back(L, FactId);
-          BackKillAvail.emplace_back(L, FactId);
-        }
+          F.Events.push_back({Grp.Placement.Node, Grp.Placement.Index, false});
       }
 
       // Dependence kills, mirroring IsArrayDep feasibility (Figure 8(d)):
@@ -411,7 +381,7 @@ struct AvailDataflow::Impl {
             if (!Scratch.Possible)
               continue;
             if (!LiAdded && DepTester::loopIndependentFromDirs(Scratch)) {
-              Events[DefNode].push_back({G.indexOf(D), true, FactId});
+              F.Events.push_back({DefNode, G.indexOf(D), true});
               F.Killers.push_back({D, 0});
               LiAdded = true;
             }
@@ -419,7 +389,7 @@ struct AvailDataflow::Impl {
               if (LevelAdded[L] || !DepTester::carriedFromDirs(Scratch, L) ||
                   L > static_cast<int>(UseNest.size()))
                 continue;
-              BackKillAvail.emplace_back(UseNest[L - 1], FactId);
+              F.Carried.push_back(UseNest[L - 1]);
               F.Killers.push_back({D, L});
               LevelAdded[L] = 1;
             }
@@ -427,175 +397,97 @@ struct AvailDataflow::Impl {
         }
       }
 
-      FactOfEntry[E.Id] = FactId;
+      std::sort(F.Events.begin(), F.Events.end());
+      FactOfEntry[E.Id] = static_cast<int>(Facts.size());
       Facts.push_back(std::move(F));
     }
-
-    int NumFacts = static_cast<int>(Facts.size());
-    Words = (NumFacts + 63) / 64;
-    if (Words == 0)
-      Words = 1;
-
-    auto rowOf = [&](std::vector<uint64_t> &Rows, int R) {
-      return Rows.data() + static_cast<size_t>(R) * Words;
-    };
-    for (int D = 0; D != 2; ++D)
-      BackKill[D].assign(static_cast<size_t>(NumLoops) * Words, 0);
-    for (auto [L, F] : BackKillReach)
-      rowSetBit(rowOf(BackKill[Reach], L), F);
-    for (auto [L, F] : BackKillReach)
-      rowSetBit(rowOf(BackKill[Avail], L), F);
-    for (auto [L, F] : BackKillAvail)
-      rowSetBit(rowOf(BackKill[Avail], L), F);
-
-    // Scope: a fact exists only at nodes whose loop chain the placement's
-    // chain prefixes — outside it the descriptor's variables are unbound.
-    // That region is exactly the body of the placement's innermost loop
-    // (the prefix is that loop's ancestor path), so build one row per loop:
-    // its own facts plus every ancestor's and the top level's.
-    std::vector<uint64_t> LoopOwn(static_cast<size_t>(NumLoops) * Words, 0);
-    Scope.assign(static_cast<size_t>(NumLoops + 1) * Words, 0);
-    uint64_t *Top = rowOf(Scope, NumLoops);
-    for (int FI = 0; FI != NumFacts; ++FI) {
-      const Fact &F = Facts[FI];
-      if (!F.Placed)
-        continue;
-      std::span<const int> PC = chainOf(Plan.Groups[F.GroupId].Placement.Node);
-      rowSetBit(PC.empty() ? Top : rowOf(LoopOwn, PC.back()), FI);
-    }
-    for (int L = 0; L != NumLoops; ++L) {
-      uint64_t *Row = rowOf(Scope, L);
-      std::copy(Top, Top + Words, Row);
-      for (int C = L; C >= 0; C = G.loop(C).Parent) {
-        const uint64_t *Own = rowOf(LoopOwn, C);
-        for (int W = 0; W != Words; ++W)
-          Row[W] |= Own[W];
-      }
-    }
-
-    for (auto &NodeEvents : Events)
-      std::sort(NodeEvents.begin(), NodeEvents.end(),
-                [](const Event &A, const Event &B) {
-                  if (A.Pos != B.Pos)
-                    return A.Pos < B.Pos;
-                  if (A.IsKill != B.IsKill)
-                    return !A.IsKill;
-                  return A.FactId < B.FactId;
-                });
   }
 
-  // --- The fixed point ------------------------------------------------------
+  // --- The walk -------------------------------------------------------------
+  //
+  // Facts are independent gen/kill must-facts, so the greatest fixed point
+  // of the availability equations is the meet over all paths from ENTRY: a
+  // fact holds at a point unless some path reaches it without a GEN after
+  // the path's last kill. A query walks predecessors backward from the
+  // point. A path stops at the fact's last event in a node, which covers it
+  // (GEN) or fails it (kill), and fails where the equations give the fact
+  // nothing to carry in: at ENTRY, at a node with no predecessors, outside
+  // the placement's innermost loop (the descriptor's variables are unbound
+  // there), and on a killing back edge.
 
-  void transfer(uint64_t *Row, int Node, int Dom) const {
-    for (const Event &Ev : Events[Node]) {
-      uint64_t Bit = uint64_t(1) << (Ev.FactId & 63);
-      if (!Ev.IsKill)
-        Row[Ev.FactId >> 6] |= Bit;
-      else if (Dom == Avail)
-        Row[Ev.FactId >> 6] &= ~Bit;
+  /// The fact's state after the events of \p Node before slot index
+  /// \p Index: a GEN at the index counts and a kill there does not, and
+  /// kills count only when \p Fresh. 1 generated, 0 killed, -1 no event.
+  int lastEvent(const Fact &F, int Node, int Index, bool Fresh) const {
+    int State = -1;
+    for (auto It = std::lower_bound(F.Events.begin(), F.Events.end(),
+                                    Event{Node, -1, false});
+         It != F.Events.end() && It->Node == Node; ++It) {
+      if (It->Pos > Index || (It->Pos == Index && It->IsKill))
+        break;
+      if (!It->IsKill)
+        State = 1;
+      else if (Fresh)
+        State = 0;
     }
+    return State;
   }
 
-  /// The facts the edge \p P -> \p Node kills: a loop's back edge kills
-  /// that loop's BackKill row; any other edge kills nothing (null).
-  const uint64_t *edgeKill(int P, int Node, int Dom) const {
-    int HL = HeaderLoop[Node];
-    if (HL < 0 || P == Ctx.G.loop(HL).Preheader)
-      return nullptr;
-    return BackKill[Dom].data() + static_cast<size_t>(HL) * Words;
-  }
-
-  void computeIn(uint64_t *Row, int Node, int Dom) const {
+  /// The local part of \p Node's In: false when no path can carry the fact
+  /// into \p Node, else pushes its unvisited predecessors. A back edge into
+  /// the header of loop L kills the fact when L encloses the placement (the
+  /// descriptor names other elements each iteration; the placement re-GENs
+  /// before any use of the next one) and, when \p Fresh, when L carries one
+  /// of the fact's dependences. An unreachable predecessor imposes nothing.
+  bool pushPreds(const Fact &F, int Node, bool Fresh) const {
     const Cfg &G = Ctx.G;
     const std::vector<int> &Preds = G.node(Node).Preds;
-    // ENTRY has no incoming facts; an unreachable node claims nothing.
-    if (Node == G.entry() || Preds.empty()) {
-      std::fill(Row, Row + Words, 0);
-      return;
-    }
-    std::fill(Row, Row + Words, ~uint64_t(0));
-    for (int P : Preds) {
-      const uint64_t *O = outRow(Dom, P);
-      if (const uint64_t *Kill = edgeKill(P, Node, Dom)) {
-        for (int W = 0; W != Words; ++W)
-          Row[W] &= O[W] & ~Kill[W];
-      } else {
-        for (int W = 0; W != Words; ++W)
-          Row[W] &= O[W];
-      }
-    }
-    const uint64_t *InScope = scopeRow(Node);
-    for (int W = 0; W != Words; ++W)
-      Row[W] &= InScope[W];
-  }
-
-  /// Iterates domain \p D to its fixed point in reverse post-order. The
-  /// domains never read each other's rows, so each is solved on its own.
-  /// After the first sweep a node is revisited only when a predecessor's
-  /// Out row changed since its last visit; from TOP, any such order reaches
-  /// the same (greatest) fixed point.
-  void solve(int D) const {
-    const Cfg &G = Ctx.G;
-    size_t Cells = static_cast<size_t>(G.numNodes()) * Words;
-    std::vector<uint64_t> Row(Words);
-    Out[D].assign(Cells, ~uint64_t(0)); // TOP: the meet only removes facts.
-    std::vector<char> Dirty(G.numNodes(), 0);
-    for (int Node : Rpo)
-      Dirty[Node] = 1;
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (int Node : Rpo) {
-        if (!Dirty[Node])
-          continue;
-        Dirty[Node] = 0;
-        computeIn(Row.data(), Node, D);
-        size_t At = static_cast<size_t>(Node) * Words;
-        transfer(Row.data(), Node, D);
-        if (!std::equal(Row.begin(), Row.end(), Out[D].begin() + At)) {
-          std::copy(Row.begin(), Row.end(), Out[D].begin() + At);
-          for (int S : G.node(Node).Succs)
-            Dirty[S] = 1;
-          Changed = true;
-        }
-      }
-    }
-    Solved[D] = true;
-  }
-
-  /// One bit of the In row of \p Node: computeIn's meet for fact \p FactId
-  /// alone. A node the fixed point never visited (unreachable) claims
-  /// nothing.
-  bool inBit(int FactId, int Node, int Dom) const {
-    const Cfg &G = Ctx.G;
-    const std::vector<int> &Preds = G.node(Node).Preds;
-    if (RpoIndex[Node] < 0 || Node == G.entry() || Preds.empty())
+    if (Node == G.entry() || Preds.empty())
       return false;
-    int W = FactId >> 6;
-    uint64_t Bit = uint64_t(1) << (FactId & 63);
+    if (F.PlaceLoop >= 0 && !encloses(F.PlaceLoop, G.loopOf(Node)))
+      return false;
+    int HL = G.node(Node).Kind == NodeKind::Header ? G.loopOf(Node) : -1;
+    bool KilledOnBackEdge =
+        HL >= 0 && (encloses(HL, F.PlaceLoop) ||
+                    (Fresh && std::find(F.Carried.begin(), F.Carried.end(),
+                                        HL) != F.Carried.end()));
     for (int P : Preds) {
-      const uint64_t *Kill = edgeKill(P, Node, Dom);
-      if (!(outRow(Dom, P)[W] & Bit) || (Kill && (Kill[W] & Bit)))
+      if (KilledOnBackEdge && P != G.loop(HL).Preheader)
+        return false;
+      if (RpoIndex[P] < 0 || Seen[P] == Epoch)
+        continue;
+      Seen[P] = Epoch;
+      Pending.push_back(P);
+    }
+    return true;
+  }
+
+  /// Is fact \p FactId available at \p At? With \p Fresh the dependence
+  /// kills count (the avail domain: fired on every path and still fresh);
+  /// without, only GEN and the structural kills do (the reach domain: fired
+  /// on every path), which is asked only to classify a failed query.
+  bool available(int FactId, const Slot &At, bool Fresh) const {
+    const Fact &F = Facts[FactId];
+    if (!F.Generated || !validSlot(Ctx.G, At))
+      return false; // No GEN anywhere: no path is covered.
+    if (int State = lastEvent(F, At.Node, At.Index, Fresh); State >= 0)
+      return State == 1;
+    if (RpoIndex[At.Node] < 0)
+      return false; // An unreachable point claims nothing.
+    ++Epoch;
+    Pending.clear();
+    ++WalkNodes;
+    if (!pushPreds(F, At.Node, Fresh))
+      return false;
+    while (!Pending.empty()) {
+      int Node = Pending.back();
+      Pending.pop_back();
+      ++WalkNodes;
+      int State = lastEvent(F, Node, INT_MAX, Fresh);
+      if (State == 0 || (State < 0 && !pushPreds(F, Node, Fresh)))
         return false;
     }
-    return scopeRow(Node)[W] & Bit;
-  }
-
-  /// Is fact \p FactId in domain \p Dom at program point \p At?
-  bool query(int FactId, const Slot &At, int Dom) const {
-    if (!validSlot(Ctx.G, At))
-      return false;
-    if (!Solved[Dom])
-      solve(Dom);
-    bool Bit = inBit(FactId, At.Node, Dom);
-    for (const Event &Ev : Events[At.Node]) {
-      if (Ev.Pos > At.Index || (Ev.Pos == At.Index && Ev.IsKill))
-        break; // A GEN at the query point itself still serves the use.
-      if (Ev.FactId != FactId)
-        continue;
-      Bit = Ev.IsKill ? (Dom == Avail ? false : Bit) : true;
-    }
-    return Bit;
+    return true;
   }
 
   // --- Checks ---------------------------------------------------------------
@@ -631,7 +523,7 @@ struct AvailDataflow::Impl {
       const Fact &F = Facts[FactId];
       ++Report.Checks;
       const CommEntry &E = Plan.Entries[F.EntryId];
-      if (query(FactId, F.QueryPoint, Avail))
+      if (available(FactId, F.QueryPoint, true))
         continue;
       std::string Array = Ctx.R.array(E.ArrayId).Name;
       std::string Sec = F.Needed.str(&Ctx.R.loopVarNames());
@@ -651,7 +543,7 @@ struct AvailDataflow::Impl {
                         "covered by group %d's descriptors at %s",
                         Sec.c_str(), Array.c_str(), E.Id, F.GroupId,
                         slotStr(P).c_str());
-      } else if (query(FactId, F.QueryPoint, Reach)) {
+      } else if (available(FactId, F.QueryPoint, false)) {
         Rule = E.Eliminated ? VerifyRule::AvailRedundancy
                             : VerifyRule::AvailFreshness;
         Msg = strFormat("section %s of '%s' communicated by group %d at %s "
@@ -686,7 +578,7 @@ struct AvailDataflow::Impl {
         continue;
       ++Report.Checks;
       const CommEntry &Red = Plan.Entries[Ev.EntryId];
-      if (query(SubFact, Facts[RedFact].QueryPoint, Avail))
+      if (available(SubFact, Facts[RedFact].QueryPoint, true))
         continue;
       const Fact &SF = Facts[SubFact];
       Report.Violations.push_back(
@@ -696,6 +588,7 @@ struct AvailDataflow::Impl {
                      Red.Id, Ev.OtherId,
                      SF.Needed.str(&Ctx.R.loopVarNames()).c_str())});
     }
+    Report.WalkNodes += std::exchange(WalkNodes, 0);
   }
 };
 

@@ -37,11 +37,20 @@
 /// "and is it still fresh". A use whose fact fails in reach is an
 /// avail-coverage violation; one that reaches but is not avail is an
 /// avail-freshness violation; the same checks on SubsumedBy-eliminated
-/// entries report avail-redundancy. Each domain is solved on its first
-/// query: every check reads avail, and reach is read only to classify a
-/// failed avail query, so a clean plan never solves reach.
+/// entries report avail-redundancy.
 ///
-/// Unlike a dominator-tree check, the CFG fixed point is path-sensitive
+/// The facts are independent, so the greatest fixed point equals the meet
+/// over all paths from ENTRY, and each query is decided on its own by a
+/// backward walk from the use over CFG predecessors. A path stops at the
+/// fact's last event in a node (a GEN covers it, a kill fails it) and fails
+/// at ENTRY, outside the placement's innermost loop, or on a killing back
+/// edge. On a clean plan a walk visits only the nodes between the
+/// placement and the use, and it stores nothing per node but a visited
+/// mark. Every check asks the
+/// avail domain; reach is asked only to classify a failed avail query, so a
+/// clean plan never asks it.
+///
+/// Unlike a dominator-tree check, the all-paths property is path-sensitive
 /// across disjoint IF arms for free: a definition inside one branch only
 /// kills along that branch, with no branch-signature machinery.
 ///
@@ -60,10 +69,10 @@
 
 namespace gca {
 
-/// The availability fixed point of one plan over one routine's CFG.
-/// Construction builds the GEN/KILL tables; check() runs the three dataflow
-/// checker families, solving each domain the first time it queries it. Not
-/// safe to use from two threads at once.
+/// The availability facts of one plan over one routine's CFG. Construction
+/// finds each fact's GEN and kills; check() runs the three dataflow checker
+/// families, one backward walk per query. Not safe to use from two threads
+/// at once.
 class AvailDataflow {
 public:
   AvailDataflow(const AnalysisContext &Ctx, const CommPlan &Plan);
@@ -73,7 +82,7 @@ public:
 
   /// Runs the avail-coverage / avail-freshness / avail-redundancy checker
   /// families, appending violations to \p Report and bumping its Facts /
-  /// Checks counters.
+  /// Checks counters and its WalkNodes tally.
   void check(VerifyReport &Report) const;
 
   /// Number of availability facts tracked (one per non-reduction entry with

@@ -14,8 +14,7 @@
 /// parameters), and communication-plan cross-reference integrity (dense ids,
 /// member/attached/GroupId agreement, in-range slots, SubsumedBy chain
 /// acyclicity, section variables in scope at the placement point, decision-
-/// log consistency). It is cheap enough to run between every pass
-/// (`--verify=each`); the dataflow half lives in analysis/AvailDataflow.h.
+/// log consistency). The dataflow half lives in analysis/AvailDataflow.h.
 ///
 /// The combining rule of Section 4.7 (combine-legality) is checked here
 /// too, but only on final plans: it needs the PlacementOptions the plan was
@@ -38,6 +37,7 @@
 #include "core/Context.h"
 #include "support/Diag.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -79,6 +79,9 @@ struct VerifyReport {
   /// Individual invariant checks evaluated (structural probes + per-use
   /// dataflow queries).
   int Checks = 0;
+  /// Nodes the availability walks visited: a work tally for scaling tests.
+  /// str() and json() leave it out, and no counter exports it.
+  int64_t WalkNodes = 0;
   std::vector<VerifyViolation> Violations;
 
   bool ok() const { return Violations.empty(); }

@@ -163,9 +163,8 @@ CacheKey gca::routineCacheKey(const std::string &Prelude,
 }
 
 void CachedPipeline::setupRoutineCache(Session &S) {
-  // Dump-after hooks dump every routine's live IR, and --verify=each
-  // cross-checks plan integrity mid-pipeline; both need full recomputation.
-  if (!S.Opts.DumpAfter.empty() || S.Opts.Verify == VerifyMode::Each)
+  // Dump-after hooks dump every routine's live IR: full recomputation.
+  if (!S.Opts.DumpAfter.empty())
     return;
   std::string Prelude;
   std::vector<RoutineSlice> Slices = sliceRoutineSources(S.Source, Prelude);

@@ -98,9 +98,9 @@ public:
 private:
   /// Populates S.RoutineCache and S.RoutinePrelude from the source's
   /// routine slices (looking up each key, installing hits) — or leaves them
-  /// empty when routine caching cannot apply: dump-after hooks and
-  /// --verify=each need live IR for every routine, and files without
-  /// markers have nothing finer than the whole file.
+  /// empty when routine caching cannot apply: dump-after hooks need live IR
+  /// for every routine, and files without markers have nothing finer than
+  /// the whole file.
   void setupRoutineCache(Session &S);
   /// Stores every missed routine's entry after a successful run, with its
   /// plan text from \p R, the session's harvest.

@@ -33,8 +33,6 @@ class ResultCache;
 enum class VerifyMode : uint8_t {
   Off,   ///< No verification.
   Final, ///< Verify the final plans once, after placement.
-  Each,  ///< Final, plus structural IR verification after every pass that
-         ///< has a CFG/SSA to check (build-context, placement).
 };
 
 struct CompileOptions {

@@ -102,25 +102,6 @@ static bool passFuse(Session &S) {
   return true;
 }
 
-/// --verify=each: structurally verify every routine's CFG/SSA (and, once
-/// plans exist, the plan cross-references) right after \p PassName ran, so a
-/// pass that corrupts the IR is caught at the pass that broke it rather than
-/// at the end. Violations render as errors naming the pass.
-static void verifyAfterPass(Session &S, const char *PassName) {
-  if (S.Opts.Verify != VerifyMode::Each)
-    return;
-  for (RoutineResult &RR : S.Result.Routines) {
-    VerifyReport Rep;
-    Rep.Strat = S.Opts.Placement.Strat;
-    verifyIr(*RR.R, RR.Ctx->G, RR.Ctx->S, Rep);
-    if (!RR.Plan.Entries.empty() || !RR.Plan.Groups.empty())
-      verifyPlanIntegrity(*RR.Ctx, RR.Plan, Rep);
-    for (const VerifyViolation &V : Rep.Violations)
-      S.Diags.error(V.Loc, "after pass '%s': %s", PassName, V.str().c_str());
-    S.Result.VerifyOk = S.Result.VerifyOk && Rep.ok();
-  }
-}
-
 static bool passBuildContext(Session &S) {
   S.Result.Routines.resize(S.Result.Prog->Routines.size());
   S.forEachRoutine("build-context", [&](size_t I, StatsRegistry &) {
@@ -129,7 +110,6 @@ static bool passBuildContext(Session &S) {
     RR.Ctx = std::make_unique<AnalysisContext>(*RR.R);
     return true;
   });
-  verifyAfterPass(S, "build-context");
   return true;
 }
 
@@ -275,7 +255,6 @@ static bool passPlacement(Session &S) {
     traceDecisions(*RR.R, RR.Plan);
     return true;
   });
-  verifyAfterPass(S, "placement");
   return true;
 }
 
@@ -297,7 +276,6 @@ static bool passLower(Session &S) {
     traceDecisions(*RR.R, RR.Plan, DecisionsBefore);
     return true;
   });
-  verifyAfterPass(S, "lower");
   return true;
 }
 

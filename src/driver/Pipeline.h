@@ -133,9 +133,8 @@ public:
     CachedResult Value;
   };
   /// One entry per routine slice, in file order; empty when routine caching
-  /// is inactive (no cache, no `routine` markers, a dump-after hook or
-  /// --verify=each that needs live IR, or slices that do not parse on
-  /// their own).
+  /// is inactive (no cache, no `routine` markers, a dump-after hook that
+  /// needs live IR, or slices that do not parse on their own).
   std::vector<RoutineCacheEntry> RoutineCache;
   /// The source text before the first routine slice (program header and
   /// file-level params).

@@ -47,8 +47,6 @@ const char *verifyModeName(VerifyMode M) {
     return "off";
   case VerifyMode::Final:
     return "final";
-  case VerifyMode::Each:
-    return "each";
   }
   return "off";
 }
@@ -90,8 +88,6 @@ bool parseOptions(const JsonValue &Doc, CompileOptions &Opts,
         Opts.Verify = VerifyMode::Off;
       else if (M == "final")
         Opts.Verify = VerifyMode::Final;
-      else if (M == "each")
-        Opts.Verify = VerifyMode::Each;
       else {
         Err = "invalid 'verify' mode";
         return false;

@@ -145,7 +145,11 @@ TEST(ServeProtocolTest, BuildParseRoundTrip) {
   Req.PrintPlans = false;
   Req.Opts.Placement.Strat = Strategy::Optimal;
   Req.Opts.FuseLoops = true;
-  Req.Opts.Verify = VerifyMode::Each;
+  // Whichever mode this build does not default to.
+  VerifyMode Mode = CompileOptions().Verify == VerifyMode::Off
+                        ? VerifyMode::Final
+                        : VerifyMode::Off;
+  Req.Opts.Verify = Mode;
   Req.Opts.Params["n"] = 128;
   std::string Wire = buildCompileRequestJson(Req);
 
@@ -156,7 +160,7 @@ TEST(ServeProtocolTest, BuildParseRoundTrip) {
   ASSERT_TRUE(parseCompileRequest(Doc, Back, Err)) << Err;
   EXPECT_EQ(buildCompileRequestJson(Back), Wire);
   EXPECT_EQ(Back.Opts.Placement.Strat, Strategy::Optimal);
-  EXPECT_EQ(Back.Opts.Verify, VerifyMode::Each);
+  EXPECT_EQ(Back.Opts.Verify, Mode);
   EXPECT_EQ(Back.Opts.Params["n"], 128);
 }
 
@@ -176,6 +180,7 @@ TEST(ServeProtocolTest, StrictParsingRejectsUnknownAndMistyped) {
   EXPECT_TRUE(Fails("{\"source\":\"s\",\"options\":{\"strategy\":\"nope\"}}"));
   EXPECT_TRUE(Fails(
       "{\"source\":\"s\",\"options\":{\"params\":{\"n\":\"many\"}}}"));
+  EXPECT_TRUE(Fails("{\"source\":\"s\",\"options\":{\"verify\":\"each\"}}"));
   // A dump-after selector must name a pass of the standard pipeline.
   EXPECT_TRUE(
       Fails("{\"source\":\"s\",\"options\":{\"dump_after\":\"bogus\"}}"));

@@ -11,17 +11,20 @@
 /// the plan in one distinct way, and asserts the expected verifier rule
 /// fires. The mutation classes cover every family — the availability
 /// dataflow (hoist past a def, hoist out of a carrying loop, sink past the
-/// use, shrink a descriptor, retarget a subsumption, widen a mapping), the
-/// structural verifier (drop a group, invalid slot, duplicate membership,
-/// broken subsumption chain, inconsistent group links, tampered decision
-/// log, out-of-scope descriptor variable), and the combining rule (size
-/// threshold, member kind, mapping compatibility, shift reach, common
-/// position). Three `PlanAudit` cases repeat dataflow mutations with a
-/// DiagEngine attached and check where the error is reported.
+/// use, shrink a descriptor, retarget a subsumption, widen a mapping, move
+/// into one IF arm, move into a sibling loop, move a partially reduced
+/// entry's subsumer past its use), the structural verifier (drop a group,
+/// invalid slot, duplicate membership, broken subsumption chain,
+/// inconsistent group links, tampered decision log, out-of-scope
+/// descriptor variable), and the combining rule (size threshold, member
+/// kind, mapping compatibility, shift reach, common position). Three
+/// `PlanAudit` cases repeat dataflow mutations with a DiagEngine attached
+/// and check where the error is reported.
 ///
 /// A clean-plan sweep closes the loop: every strategy over every workload
 /// and a bank of generator seeds must produce zero violations, so the teeth
-/// shown by the mutations are not false ones.
+/// shown by the mutations are not false ones. The walks' node tally pins
+/// the verifier's scaling without a clock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +32,7 @@
 #include "analysis/AvailDataflow.h"
 #include "driver/Compile.h"
 #include "support/Stats.h"
+#include "workloads/Synth.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -271,6 +275,98 @@ TEST(VerifyMutation, WidenedMappingCaught) {
   VerifyReport V = verify(RR);
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailRedundancy)) << V.str();
+}
+
+TEST(VerifyMutation, PlacementInOneIfArmCaught) {
+  CompileResult R = compile("program p\n"
+                            "param n = 8\n"
+                            "real a(n,n) distribute (block,block)\n"
+                            "real b(n,n) distribute (block,block)\n"
+                            "real c(n,n) distribute (block,block)\n"
+                            "begin\n"
+                            "if (cond) then\n"
+                            "  c(1,1) = 1\n"
+                            "else\n"
+                            "  c(2,2) = 2\n"
+                            "end if\n"
+                            "do i = 2, n\n"
+                            "  do j = 1, n\n"
+                            "    a(i,j) = b(i-1,j)\n"
+                            "  end do\n"
+                            "end do\n"
+                            "end\n");
+  RoutineResult &RR = R.Routines[0];
+  ASSERT_EQ(RR.Plan.Groups.size(), 1u);
+  ASSERT_TRUE(verify(RR).ok());
+  // Move the communication into the THEN arm: the IF joins before the use,
+  // and the ELSE path reaches it without the data.
+  const auto *If = cast<IfStmt>(RR.R->body()[0]);
+  RR.Plan.Groups[0].Placement =
+      RR.Ctx->G.slotBefore(cast<AssignStmt>(If->thenBody()[0]));
+
+  VerifyReport V = verify(RR);
+  EXPECT_TRUE(hasRule(V, VerifyRule::AvailCoverage)) << V.str();
+  EXPECT_FALSE(hasRule(V, VerifyRule::AvailFreshness)) << V.str();
+}
+
+TEST(VerifyMutation, PlacementInSiblingLoopCaught) {
+  CompileResult R = compile(kStencil);
+  RoutineResult &RR = R.Routines[0];
+  ASSERT_EQ(RR.Plan.Groups.size(), 2u);
+  ASSERT_TRUE(verify(RR).ok());
+  // Move the last nest's communication into the first nest's body. That
+  // loop does not enclose the use, so the descriptor is out of scope there.
+  const CommEntry &First = RR.Plan.Entries[RR.Plan.Groups[0].Members[0]];
+  RR.Plan.Groups[1].Placement = RR.Ctx->G.slotBefore(First.UseStmt);
+
+  VerifyReport V = verify(RR);
+  EXPECT_TRUE(hasRule(V, VerifyRule::AvailCoverage)) << V.str();
+  EXPECT_FALSE(hasRule(V, VerifyRule::AvailFreshness)) << V.str();
+}
+
+TEST(VerifyMutation, SubsumerPastPartiallyReducedUseCaught) {
+  // test_partial's clean overlap: the second use ships only the columns
+  // the first communication does not deliver.
+  CompileOptions Opts;
+  Opts.Placement.Strat = Strategy::Earliest;
+  Opts.Placement.PartialRedundancy = true;
+  Opts.Lint = false;
+  CompileResult R = compileSource("program p\n"
+                                  "param n = 16\n"
+                                  "real a(n,n) distribute (block,block)\n"
+                                  "real b(n,n) distribute (block,block)\n"
+                                  "real c(n,n) distribute (block,block)\n"
+                                  "begin\n"
+                                  "  a = 1\n"
+                                  "  b(2:n,1:8) = a(1:n-1,1:8)\n"
+                                  "  a(1:n,9:16) = b(1:n,9:16)\n"
+                                  "  c(2:n,1:n) = a(1:n-1,1:n)\n"
+                                  "end\n",
+                                  Opts);
+  ASSERT_TRUE(R.Ok) << R.Errors;
+  RoutineResult &RR = R.Routines[0];
+  ASSERT_TRUE(verify(RR, Opts.Placement).ok());
+  const DecisionEvent *Reduced = nullptr;
+  for (const DecisionEvent &Ev : RR.Plan.Decisions)
+    if (Ev.Kind == DecisionKind::PartiallyReduced)
+      Reduced = &Ev;
+  ASSERT_NE(Reduced, nullptr) << "expected a partially reduced entry";
+  const CommEntry &Red = RR.Plan.Entries[Reduced->EntryId];
+  int SubGroup = RR.Plan.Entries[Reduced->OtherId].GroupId;
+  ASSERT_NE(SubGroup, Red.GroupId);
+  // Move the subsumer's communication past the reduced use: the remainder
+  // still arrives, but the rest of the use's data does not.
+  RR.Plan.Groups[SubGroup].Placement = RR.Ctx->G.slotAfter(Red.UseStmt);
+
+  VerifyReport V = verify(RR, Opts.Placement);
+  EXPECT_TRUE(std::any_of(
+      V.Violations.begin(), V.Violations.end(),
+      [&](const VerifyViolation &Vi) {
+        return Vi.Rule == VerifyRule::AvailRedundancy &&
+               Vi.EntryId == Red.Id &&
+               Vi.Message.find("sends only a remainder") != std::string::npos;
+      }))
+      << V.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -698,4 +794,33 @@ TEST(VerifyClean, ViolationReportIsMachineReadable) {
   for (const Diag &D : Diags.diags())
     HasLoc |= D.Loc.isValid();
   EXPECT_TRUE(HasLoc) << Diags.str();
+}
+
+TEST(VerifyClean, WalkWorkGrowsLinearlyWithTheRoutine) {
+  // The nodes the availability walks visit are an exact count, so unlike a
+  // timing they pin the verifier's scaling deterministically: a clean walk
+  // stays between a fact's placement and its use, so doubling the routine
+  // must not much more than double the visits.
+  auto walkNodes = [](int Nests) {
+    SynthSpec Spec;
+    Spec.Nests = Nests;
+    Spec.Seed = 1;
+    CompileOptions Opts;
+    Opts.Verify = VerifyMode::Final;
+    Opts.Lint = false;
+    CompileResult R = compileSource(synthSource(Spec), Opts);
+    EXPECT_TRUE(R.Ok && R.VerifyOk) << R.Errors << R.Diagnostics;
+    int64_t Nodes = 0;
+    for (const RoutineResult &RR : R.Routines)
+      Nodes += RR.Verify.WalkNodes;
+    return Nodes;
+  };
+  int64_t Nodes500 = walkNodes(500);
+  int64_t Nodes1000 = walkNodes(1000);
+  int64_t Nodes2000 = walkNodes(2000);
+  ASSERT_GT(Nodes500, 0);
+  EXPECT_LE(static_cast<double>(Nodes1000) / static_cast<double>(Nodes500),
+            2.5);
+  EXPECT_LE(static_cast<double>(Nodes2000) / static_cast<double>(Nodes1000),
+            2.5);
 }

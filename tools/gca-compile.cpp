@@ -489,10 +489,9 @@ int usage(const char *Argv0) {
       "--list-machines)\n"
       "  --list-machines        print the machine-profile registry and exit\n"
       "  --no-scalarize --fuse --lint --no-lint\n"
-      "  --verify[=final|each|off]  translation validation: re-verify every\n"
+      "  --verify[=final|off]   translation validation: re-verify every\n"
       "                         plan with the independent availability\n"
-      "                         dataflow ('each' adds structural IR checks\n"
-      "                         after every pass); --no-verify disables\n"
+      "                         dataflow; --no-verify disables\n"
       "  --defer-reductions --partial-redundancy\n"
       "  --no-plans             suppress plan printing\n"
       "  -p name=value          override a param declaration\n"
@@ -613,8 +612,6 @@ int main(int argc, char **argv) {
       Opts.Compile.Lint = false;
     } else if (Arg == "--verify" || Arg == "--verify=final") {
       Opts.Compile.Verify = VerifyMode::Final;
-    } else if (Arg == "--verify=each") {
-      Opts.Compile.Verify = VerifyMode::Each;
     } else if (Arg == "--verify=off" || Arg == "--no-verify") {
       Opts.Compile.Verify = VerifyMode::Off;
     } else if (Arg == "--no-plans") {
