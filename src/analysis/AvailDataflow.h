@@ -27,26 +27,30 @@
 ///    header top legally re-fires each iteration first);
 ///  - structurally, the back edges of every loop enclosing the placement
 ///    (the descriptor is parameterized by those loop variables, so it names
-///    different elements each iteration), and every program point whose loop
-///    chain the placement's chain does not prefix (the descriptor's
-///    variables are out of scope there).
+///    different elements each iteration), and every program point outside
+///    the placement's innermost loop (the descriptor's variables are out of
+///    scope there).
 ///
 /// The meet is intersection; two domains separate the checker families: the
 /// *reach* domain (GEN + structural kills) answers "did the communication
 /// fire on every path", and the *avail* domain (+ dependence kills) answers
 /// "and is it still fresh". A use whose fact fails in reach is an
 /// avail-coverage violation; one that reaches but is not avail is an
-/// avail-freshness violation; the same checks on SubsumedBy-eliminated
-/// entries report avail-redundancy.
+/// avail-freshness violation, whose message names the kill that failed the
+/// walk; the same checks on SubsumedBy-eliminated entries report
+/// avail-redundancy.
 ///
 /// The facts are independent, so the greatest fixed point equals the meet
 /// over all paths from ENTRY, and each query is decided on its own by a
 /// backward walk from the use over CFG predecessors. A path stops at the
 /// fact's last event in a node (a GEN covers it, a kill fails it) and fails
 /// at ENTRY, outside the placement's innermost loop, or on a killing back
-/// edge. On a clean plan a walk visits only the nodes between the
-/// placement and the use, and it stores nothing per node but a visited
-/// mark. Every check asks the
+/// edge. The walk finds the dependence kills itself: on each node it
+/// visits it tests the array's definitions in that node, and on each back
+/// edge of the use's nest it crosses it tests the definitions inside that
+/// loop, caching one dependence summary per (fact, definition). On a clean
+/// plan a walk visits only the nodes between the placement and the use,
+/// and it stores nothing per node but a visited mark. Every check asks the
 /// avail domain; reach is asked only to classify a failed avail query, so a
 /// clean plan never asks it.
 ///
@@ -65,34 +69,7 @@
 
 #include "analysis/IrVerify.h"
 
-#include <memory>
-
 namespace gca {
-
-/// The availability facts of one plan over one routine's CFG. Construction
-/// finds each fact's GEN and kills; check() runs the three dataflow checker
-/// families, one backward walk per query. Not safe to use from two threads
-/// at once.
-class AvailDataflow {
-public:
-  AvailDataflow(const AnalysisContext &Ctx, const CommPlan &Plan);
-  ~AvailDataflow();
-  AvailDataflow(const AvailDataflow &) = delete;
-  AvailDataflow &operator=(const AvailDataflow &) = delete;
-
-  /// Runs the avail-coverage / avail-freshness / avail-redundancy checker
-  /// families, appending violations to \p Report and bumping its Facts /
-  /// Checks counters and its WalkNodes tally.
-  void check(VerifyReport &Report) const;
-
-  /// Number of availability facts tracked (one per non-reduction entry with
-  /// a resolvable serving group).
-  int numFacts() const;
-
-private:
-  struct Impl;
-  std::unique_ptr<Impl> I;
-};
 
 /// The complete verifier: structural IR checks (verifyIr), plan
 /// cross-reference integrity (verifyPlanIntegrity), combining legality under

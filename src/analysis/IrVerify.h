@@ -79,9 +79,12 @@ struct VerifyReport {
   /// Individual invariant checks evaluated (structural probes + per-use
   /// dataflow queries).
   int Checks = 0;
-  /// Nodes the availability walks visited: a work tally for scaling tests.
-  /// str() and json() leave it out, and no counter exports it.
+  /// Work tallies for scaling tests: the nodes the availability walks
+  /// visited and the dependence tests they ran (one per def and reference
+  /// of a fact). str() and json() leave them out, and no counter exports
+  /// them.
   int64_t WalkNodes = 0;
+  int64_t DepTests = 0;
   std::vector<VerifyViolation> Violations;
 
   bool ok() const { return Violations.empty(); }

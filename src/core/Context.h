@@ -42,8 +42,6 @@ public:
   Ssa S;
   DepTester Dep;
 
-  /// Nesting level (1-based) of the loop binding each loop variable.
-  int varLevel(int Var) const { return VarLevel[Var]; }
   /// The loop binding each loop variable.
   const LoopStmt *varLoop(int Var) const { return VarLoop[Var]; }
 
@@ -68,6 +66,7 @@ private:
   /// the minimum (\p Low = true) or maximum of the expression.
   AffineExpr expandBound(const AffineExpr &E, int Level, bool Low) const;
 
+  /// Nesting level (1-based) of the loop binding each loop variable.
   std::vector<int> VarLevel;
   std::vector<const LoopStmt *> VarLoop;
 };

@@ -44,7 +44,7 @@ struct DirConstraint {
 
 /// The complete direction summary of one (def, use-ref) pair: everything the
 /// level predicates below derive, from a single directionConstraints pass.
-/// Hot loops (the Earliest barrier walk, the verifier's kill screen)
+/// Hot loops (the Earliest barrier walk, the verifier's availability walk)
 /// fetch one summary per pair instead of re-solving the subscripts once per
 /// level.
 struct DepDirs {

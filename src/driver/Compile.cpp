@@ -31,14 +31,6 @@ std::string CompileResult::planText() const {
   return Out;
 }
 
-RoutineResult gca::analyzeRoutine(Routine &R, const PlacementOptions &Opts) {
-  RoutineResult Out;
-  Out.R = &R;
-  Out.Ctx = std::make_unique<AnalysisContext>(R);
-  Out.Plan = planCommunication(*Out.Ctx, Opts);
-  return Out;
-}
-
 CompileResult gca::compileSource(const std::string &Source,
                                  const CompileOptions &Opts) {
   Session S(Source, Opts);

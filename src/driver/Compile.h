@@ -126,9 +126,6 @@ CompileResult compileSource(const std::string &Source,
 CompileResult compileSource(const std::string &Source,
                             const CompileOptions &Opts, ResultCache *Cache);
 
-/// Analyzes one already-built (and already-scalarized) routine.
-RoutineResult analyzeRoutine(Routine &R, const PlacementOptions &Opts);
-
 } // namespace gca
 
 #endif // GCA_DRIVER_COMPILE_H

@@ -77,13 +77,6 @@ Subscript Subscript::range(AffineExpr Lo, AffineExpr Hi, int64_t Step) {
   return S;
 }
 
-bool ArrayRef::hasRanges() const {
-  for (const Subscript &S : Subs)
-    if (S.isRange())
-      return true;
-  return false;
-}
-
 RhsTerm RhsTerm::array(ArrayRef Ref) {
   RhsTerm T;
   T.K = Kind::Array;
@@ -171,13 +164,6 @@ int Routine::findScalar(const std::string &Name) const {
   for (const ScalarDecl &S : Scalars)
     if (S.Name == Name)
       return S.Id;
-  return -1;
-}
-
-int Routine::findLoopVar(const std::string &Name) const {
-  for (int I = 0, E = static_cast<int>(LoopVars.size()); I != E; ++I)
-    if (LoopVars[I] == Name)
-      return I;
   return -1;
 }
 

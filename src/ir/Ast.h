@@ -116,8 +116,6 @@ struct ArrayRef {
   SourceLoc Loc;
 
   bool isValid() const { return ArrayId >= 0; }
-  /// True if any subscript is a Range (an F90 section reference).
-  bool hasRanges() const;
 };
 
 /// One term of a right-hand side. The analyses treat the RHS as a list of
@@ -181,7 +179,6 @@ public:
 
   /// Floating point operations per (scalar) execution of this statement.
   int numOps() const { return NumOps; }
-  void setNumOps(int N) { NumOps = N; }
 
 private:
   friend class Routine;
@@ -285,8 +282,6 @@ public:
   int findArray(const std::string &Name) const;
   /// \returns the scalar id for \p Name, or -1.
   int findScalar(const std::string &Name) const;
-  /// \returns the loop-var id for \p Name, or -1.
-  int findLoopVar(const std::string &Name) const;
 
   // Statement construction -------------------------------------------------
 

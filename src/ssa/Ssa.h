@@ -83,7 +83,6 @@ public:
   int varOfArray(int ArrayId) const { return ArrayId; }
   int varOfScalar(int ScalarId) const { return NumArrays + ScalarId; }
   bool varIsArray(int Var) const { return Var < NumArrays; }
-  int arrayOfVar(int Var) const { return varIsArray(Var) ? Var : -1; }
   std::string varName(int Var) const;
 
   // Definitions ----------------------------------------------------------

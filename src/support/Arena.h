@@ -72,7 +72,6 @@ public:
       Aligned = (P + Align - 1) & ~(Align - 1);
     }
     Cur = reinterpret_cast<char *>(Aligned + Bytes);
-    Allocated += Bytes;
     return reinterpret_cast<void *>(Aligned);
   }
 
@@ -84,9 +83,6 @@ public:
       return nullptr;
     return static_cast<T *>(alloc(N * sizeof(T), alignof(T)));
   }
-
-  /// Total payload bytes handed out (excludes alignment and block slack).
-  size_t bytesAllocated() const { return Allocated; }
 
   /// Frees every block parked in this thread's cache. Threads that die
   /// before the process does (thread-pool workers, connection threads) must
@@ -139,7 +135,6 @@ private:
   char *Cur = nullptr;
   char *End = nullptr;
   size_t NextBlockBytes;
-  size_t Allocated = 0;
 };
 
 } // namespace gca

@@ -199,11 +199,6 @@ size_t TraceCollector::eventCount() const {
   return N;
 }
 
-size_t TraceCollector::laneCount() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Lanes.size();
-}
-
 size_t TraceCollector::laneCountWithPrefix(const std::string &Prefix) const {
   std::lock_guard<std::mutex> Lock(Mu);
   size_t N = 0;

@@ -150,9 +150,6 @@ public:
   /// Total events across all lanes. Quiescent-only (tests).
   size_t eventCount() const;
 
-  /// Lanes registered so far (named or having emitted). Quiescent-only.
-  size_t laneCount() const;
-
   /// Lanes whose name starts with \p Prefix. Quiescent-only (tests).
   size_t laneCountWithPrefix(const std::string &Prefix) const;
 

@@ -23,14 +23,18 @@
 ///
 /// A clean-plan sweep closes the loop: every strategy over every workload
 /// and a bank of generator seeds must produce zero violations, so the teeth
-/// shown by the mutations are not false ones. The walks' node tally pins
-/// the verifier's scaling without a clock.
+/// shown by the mutations are not false ones. The walks' node and
+/// dependence-test tallies pin the verifier's scaling without a clock. A
+/// soundness sweep moves groups to seeded slots and requires every move
+/// the availability families accept to pass element provenance.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "FuzzGen.h"
 #include "analysis/AvailDataflow.h"
 #include "driver/Compile.h"
+#include "lower/Schedule.h"
+#include "runtime/Verify.h"
 #include "support/Stats.h"
 #include "workloads/Synth.h"
 #include "workloads/Workloads.h"
@@ -197,6 +201,58 @@ TEST(VerifyMutation, HoistOutOfCarryingLoopCaught) {
   EXPECT_FALSE(V.ok());
   EXPECT_TRUE(hasRule(V, VerifyRule::AvailFreshness)) << V.str();
   EXPECT_FALSE(hasRule(V, VerifyRule::AvailCoverage)) << V.str();
+}
+
+TEST(VerifyMutation, FreshnessCitesTheKillOnTheFailingPath) {
+  // kCarried with a conditional write of b(1,1) at the top of the t body.
+  // Hoisted to the routine entry, the communication goes stale on the
+  // path around t's back edge before it meets the IF arm, so the message
+  // must name that carried kill, not the first killing def in program
+  // order (the IF's write, which also kills loop-independently).
+  CompileResult R = compile("program p\n"
+                            "param n = 8\n"
+                            "param m = 4\n"
+                            "real a(n,n) distribute (block,block)\n"
+                            "real b(n,n) distribute (block,block)\n"
+                            "begin\n"
+                            "do t = 1, m\n"
+                            "  if (cond) then\n"
+                            "    b(1,1) = 1\n"
+                            "  end if\n"
+                            "  do i = 2, n\n"
+                            "    do j = 1, n\n"
+                            "      a(i,j) = b(i-1,j)\n"
+                            "    end do\n"
+                            "  end do\n"
+                            "  do i = 1, n\n"
+                            "    do j = 1, n\n"
+                            "      b(i,j) = a(i,j)\n"
+                            "    end do\n"
+                            "  end do\n"
+                            "end do\n"
+                            "end\n");
+  RoutineResult &RR = R.Routines[0];
+  ASSERT_TRUE(verify(RR).ok());
+  int EId = -1;
+  for (const CommEntry &E : RR.Plan.Entries)
+    if (!E.Eliminated && E.M.Kind == CommKind::Shift)
+      EId = E.Id;
+  ASSERT_GE(EId, 0);
+  int GId = RR.Plan.Entries[EId].GroupId;
+  RR.Plan.Groups[GId].Placement = RR.Ctx->G.slotAtEnd(RR.Ctx->G.entry());
+
+  VerifyReport V = verify(RR);
+  const VerifyViolation *Stale = nullptr;
+  for (const VerifyViolation &Viol : V.Violations)
+    if (Viol.Rule == VerifyRule::AvailFreshness && Viol.EntryId == EId)
+      Stale = &Viol;
+  ASSERT_NE(Stale, nullptr) << V.str();
+  EXPECT_EQ(Stale->Loc.Line, 13);
+  EXPECT_EQ(Stale->Loc.Col, 16);
+  EXPECT_NE(Stale->Message.find("the level-1 loop carries a dependence from "
+                                "the definition at 9:5"),
+            std::string::npos)
+      << Stale->Message;
 }
 
 TEST(VerifyMutation, SinkPastUseCaught) {
@@ -797,11 +853,15 @@ TEST(VerifyClean, ViolationReportIsMachineReadable) {
 }
 
 TEST(VerifyClean, WalkWorkGrowsLinearlyWithTheRoutine) {
-  // The nodes the availability walks visit are an exact count, so unlike a
-  // timing they pin the verifier's scaling deterministically: a clean walk
-  // stays between a fact's placement and its use, so doubling the routine
-  // must not much more than double the visits.
-  auto walkNodes = [](int Nests) {
+  // The nodes the availability walks visit and the dependence tests they
+  // run are exact counts, so unlike a timing they pin the verifier's
+  // scaling deterministically: a clean walk stays between a fact's
+  // placement and its use and tests only the defs it crosses, so doubling
+  // the routine must not much more than double either tally.
+  struct Work {
+    int64_t Nodes = 0, DepTests = 0;
+  };
+  auto walkWork = [](int Nests) {
     SynthSpec Spec;
     Spec.Nests = Nests;
     Spec.Seed = 1;
@@ -810,17 +870,82 @@ TEST(VerifyClean, WalkWorkGrowsLinearlyWithTheRoutine) {
     Opts.Lint = false;
     CompileResult R = compileSource(synthSource(Spec), Opts);
     EXPECT_TRUE(R.Ok && R.VerifyOk) << R.Errors << R.Diagnostics;
-    int64_t Nodes = 0;
-    for (const RoutineResult &RR : R.Routines)
-      Nodes += RR.Verify.WalkNodes;
-    return Nodes;
+    Work W;
+    for (const RoutineResult &RR : R.Routines) {
+      W.Nodes += RR.Verify.WalkNodes;
+      W.DepTests += RR.Verify.DepTests;
+    }
+    return W;
   };
-  int64_t Nodes500 = walkNodes(500);
-  int64_t Nodes1000 = walkNodes(1000);
-  int64_t Nodes2000 = walkNodes(2000);
-  ASSERT_GT(Nodes500, 0);
-  EXPECT_LE(static_cast<double>(Nodes1000) / static_cast<double>(Nodes500),
-            2.5);
-  EXPECT_LE(static_cast<double>(Nodes2000) / static_cast<double>(Nodes1000),
-            2.5);
+  auto ratio = [](int64_t Big, int64_t Small) {
+    return static_cast<double>(Big) / static_cast<double>(Small);
+  };
+  Work W500 = walkWork(500);
+  Work W1000 = walkWork(1000);
+  Work W2000 = walkWork(2000);
+  ASSERT_GT(W500.Nodes, 0);
+  ASSERT_GT(W500.DepTests, 0);
+  EXPECT_LE(ratio(W1000.Nodes, W500.Nodes), 2.5);
+  EXPECT_LE(ratio(W2000.Nodes, W1000.Nodes), 2.5);
+  EXPECT_LE(ratio(W1000.DepTests, W500.DepTests), 2.5);
+  EXPECT_LE(ratio(W2000.DepTests, W1000.DepTests), 2.5);
+}
+
+//===----------------------------------------------------------------------===//
+// Soundness: a plan the verifier accepts passes element provenance
+//===----------------------------------------------------------------------===//
+
+TEST(VerifySound, AcceptedPlacementMovesPassProvenance) {
+  // Moves every group of small generated programs to seeded slots anywhere
+  // in the routine. Whenever the availability families accept the moved
+  // plan, the element-level provenance simulator (rung 3) must prove its
+  // schedule safe. The other rules (decision log, combining candidates)
+  // flag almost every move, so only the avail-* rules count as the
+  // verdict. The floors keep the corpus from degenerating into moves that
+  // every rung accepts or that nothing can check.
+  auto availOk = [](const VerifyReport &V) {
+    return std::none_of(V.Violations.begin(), V.Violations.end(),
+                        [](const VerifyViolation &Viol) {
+                          return Viol.Rule == VerifyRule::AvailCoverage ||
+                                 Viol.Rule == VerifyRule::AvailFreshness ||
+                                 Viol.Rule == VerifyRule::AvailRedundancy;
+                        });
+  };
+  int Moves = 0, Accepted = 0, ProvenanceFails = 0;
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    std::string Src = generateProgram(Seed);
+    for (Strategy S : {Strategy::Orig, Strategy::Earliest, Strategy::Global}) {
+      CompileOptions Opts;
+      Opts.Placement.Strat = S;
+      Opts.Verify = VerifyMode::Off;
+      Opts.Lint = false;
+      CompileResult R = compileSource(Src, Opts);
+      ASSERT_TRUE(R.Ok) << R.Errors;
+      fuzzgen::Rng Rng(Seed * 8 + static_cast<uint64_t>(S));
+      for (RoutineResult &RR : R.Routines) {
+        const Cfg &G = RR.Ctx->G;
+        uint64_t NumSlots = static_cast<uint64_t>(G.numSlots());
+        for (CommGroup &Grp : RR.Plan.Groups) {
+          Slot Home = Grp.Placement;
+          for (int K = 0; K != 8; ++K) {
+            Grp.Placement = G.slotOfId(static_cast<int>(Rng.next() % NumSlots));
+            ++Moves;
+            bool Accept = availOk(verifyPlan(*RR.Ctx, RR.Plan, Opts.Placement));
+            VerifyResult P = verifySchedule(
+                *RR.Ctx, RR.Plan, ExecProgram::build(*RR.Ctx, RR.Plan), 4);
+            Accepted += Accept;
+            ProvenanceFails += !P.Ok;
+            EXPECT_TRUE(!Accept || P.Ok)
+                << "seed " << Seed << " [" << strategyName(S) << "] group "
+                << Grp.Id << " at (B" << Grp.Placement.Node << ","
+                << Grp.Placement.Index << ")\n"
+                << P.str();
+          }
+          Grp.Placement = Home;
+        }
+      }
+    }
+  }
+  EXPECT_GE(Accepted, 500) << Moves << " moves";
+  EXPECT_GE(ProvenanceFails, 1000) << Moves << " moves";
 }
