@@ -313,7 +313,7 @@ void writeResultsFile(const char *Path) {
   }
 
   // The 100x scale target: one n10000 (~30k-entry) compile. Single-shot —
-  // the point is that the arena/SoA engine completes it in bounded time and
+  // the point is that the SoA engine completes it in bounded time and
   // memory, and the trend is visible across baselines.
   {
     SynthSpec Spec;

@@ -119,15 +119,18 @@ private:
   // --- [innermost-comm] ------------------------------------------------------
 
   /// The definition whose dependence pins entry \p E at its CommLevel, for
-  /// the diagnostic. Prefers the def Earliest(u) stopped at.
-  const AssignStmt *blockingDef(const CommEntry &E) {
+  /// the diagnostic; \p Innermost is the use's innermost loop and CommLevel
+  /// is at least its depth. Prefers the def Earliest(u) stopped at.
+  const AssignStmt *blockingDef(const CommEntry &E, int Innermost) {
     if (E.EarliestDef >= 0) {
       const SsaDef &D = Ctx.S.def(E.EarliestDef);
       if (D.Kind == DefKind::Regular)
         return D.Stmt;
     }
-    // The array's regular defs, in program order (the id order).
-    for (int DefId : Ctx.S.arrayDefs(E.ArrayId)) {
+    // DepLevel never exceeds the common nesting level, so only a def inside
+    // the innermost loop can reach CommLevel. Its regular defs there, in
+    // program order (the id order).
+    for (int DefId : Ctx.S.arrayDefsInLoop(E.ArrayId, Innermost)) {
       const AssignStmt *Def = Ctx.S.def(DefId).Stmt;
       for (const ArrayRef &Ref : E.Refs)
         if (Ctx.Dep.depLevel(Def, E.UseStmt, Ref) >= E.CommLevel)
@@ -146,7 +149,7 @@ private:
       SourceLoc Loc =
           !E.Refs.empty() && E.Refs[0].Loc.isValid() ? E.Refs[0].Loc
                                                      : E.UseStmt->loc();
-      const AssignStmt *Def = blockingDef(E);
+      const AssignStmt *Def = blockingDef(E, Nest.back());
       std::string Blocker =
           Def ? strFormat("the definition at %s", Def->loc().str().c_str())
               : std::string("a dependence");

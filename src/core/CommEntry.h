@@ -20,11 +20,11 @@
 
 #include "cfg/Cfg.h"
 #include "section/Asd.h"
-#include "support/Arena.h"
 
 #include <array>
 #include <cassert>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,12 +33,12 @@ namespace gca {
 
 class StatsRegistry;
 
-/// A fixed-capacity slot sequence carved out of its plan's arena (SoA slot
-/// storage: the Slot payloads of every entry live in a handful of arena
-/// blocks instead of one heap vector per entry). The elimination passes only
-/// ever shrink candidate sets or collapse them to a chosen slot, so the span
-/// mutates in place and never reallocates; the backing memory is owned by
-/// CommPlan::Mem and outlives every copy of the plan.
+/// A fixed-capacity slot sequence allocated from its plan's CommPlan::Mem
+/// (SoA slot storage: the Slot payloads of every entry live in a handful of
+/// buffers instead of one heap vector per entry). The elimination passes
+/// only ever shrink candidate sets or collapse them to a chosen slot, so the
+/// span mutates in place and never reallocates; CommPlan::Mem outlives every
+/// copy of the plan.
 class SlotSpan {
 public:
   SlotSpan() = default;
@@ -105,11 +105,12 @@ struct CommEntry {
   int CommLevel = 0;
   /// Candidate placement slots, in dominance order (earliest first). For
   /// reductions this is the single slot before the use (Section 6.2).
-  /// Arena-backed (CommPlan::Mem); elimination shrinks it in place.
+  /// Stored in CommPlan::Mem; elimination shrinks it in place.
   SlotSpan Candidates;
   /// Candidates as originally marked, before subset/redundancy elimination
   /// ("including entries disabled during redundancy elimination" take part
-  /// in the final latest-common-position computation). Arena-backed.
+  /// in the final latest-common-position computation). Stored in
+  /// CommPlan::Mem.
   SlotSpan OriginalCandidates;
 
   // --- Placement outcome (Sections 4.5-4.7) ---
@@ -297,9 +298,10 @@ struct CommPlan {
   std::vector<CommEntry> Entries;
   std::vector<CommGroup> Groups;
   CommStats Stats;
-  /// Backing storage of every entry's candidate spans. Shared so plan copies
+  /// Backing storage of every entry's candidate spans: a bump allocator that
+  /// frees nothing until the plan's last copy goes. Shared so plan copies
   /// stay cheap and valid; the spans are read-only once placement returns.
-  std::shared_ptr<Arena> Mem;
+  std::shared_ptr<std::pmr::monotonic_buffer_resource> Mem;
   /// Why the plan looks the way it does: every detection, range, elimination,
   /// combining and final-placement decision, in algorithm order. Appended by
   /// Detect and the Placer; deterministic for a given (routine, options).

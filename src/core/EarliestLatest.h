@@ -44,9 +44,10 @@ struct RangeWork {
 };
 
 /// Fills EarliestSlot/LatestSlot/CommLevel of \p E and appends the candidate
-/// slot range to \p CandOut (cleared first). The caller commits the list to
-/// the plan's arena — both Candidates and OriginalCandidates start as copies
-/// of it. The work done is added to \p Work.
+/// slot range to \p CandOut (cleared first). The caller copies the list into
+/// the plan's slot storage (CommPlan::Mem) — both Candidates and
+/// OriginalCandidates start as copies of it. The work done is added to
+/// \p Work.
 void analyzeEntryPlacement(const AnalysisContext &Ctx, CommEntry &E,
                            const PlacementOptions &Opts,
                            std::vector<Slot> &CandOut, RangeWork &Work);

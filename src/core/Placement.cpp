@@ -19,6 +19,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <set>
 #include <span>
 
@@ -314,7 +315,8 @@ public:
     DomQueriesStart = Ctx.DT.queryCount();
     CommPlan Plan;
     Plan.Strat = Opts.Strat;
-    Plan.Mem = std::make_shared<Arena>();
+    Plan.Mem = std::make_shared<std::pmr::monotonic_buffer_resource>(
+        size_t{64} * 1024);
     Plan.Entries = detectCommunication(Ctx, Opts, &Plan.Decisions);
     AsdIdx.reset(static_cast<int>(Plan.Entries.size()));
     computeClasses(Plan);
@@ -343,37 +345,37 @@ public:
     return Plan;
   }
 
-  /// origGroupCount: the groups runOrig would form, from a copy of
-  /// \p Placed's entries. Only buildGroups runs: Orig pins every group
-  /// where it opened, so finalizeGroups would not move or merge any.
+  /// origGroupCount: the groups runOrig would form over \p Placed's
+  /// entries, every one at its Latest slot. Only the grouping is counted:
+  /// Orig pins every group where it opened, so finalizeGroups would not move
+  /// or merge any.
   int origGroups(const CommPlan &Placed) {
-    CommPlan Plan;
-    Plan.Entries = Placed.Entries;
-    for (CommEntry &E : Plan.Entries) {
-      E.Eliminated = false;
-      E.Chosen = E.LatestSlot;
-    }
-    AsdIdx.reset(static_cast<int>(Plan.Entries.size()));
-    computeClasses(Plan);
-    buildGroups(Plan);
-    return static_cast<int>(Plan.Groups.size());
+    std::map<Slot, std::vector<int>> BySlot;
+    for (const CommEntry &E : Placed.Entries)
+      if (E.LatestSlot.isValid())
+        BySlot[E.LatestSlot].push_back(E.Id);
+    AsdIdx.reset(static_cast<int>(Placed.Entries.size()));
+    return countGroups(Placed.Entries, BySlot);
   }
 
 private:
   /// Per-entry Earliest/Latest analysis (Sections 4.2-4.4). Each entry's
-  /// candidate list is copied into the plan's arena twice: Candidates
-  /// shrinks during elimination while OriginalCandidates may later be
-  /// pinned, so they diverge.
+  /// candidate list is copied twice into one allocation from CommPlan::Mem:
+  /// Candidates shrinks during elimination while OriginalCandidates may
+  /// later be pinned, so they diverge. An empty list keeps null spans.
   void analyzeEntries(CommPlan &Plan) {
+    std::pmr::polymorphic_allocator<Slot> Alloc(Plan.Mem.get());
     std::vector<Slot> Cands;
     for (CommEntry &E : Plan.Entries) {
       analyzeEntryPlacement(Ctx, E, Opts, Cands, Range);
       auto Len = static_cast<uint32_t>(Cands.size());
-      Slot *Mem = Plan.Mem->allocArray<Slot>(2 * static_cast<size_t>(Len));
-      std::copy(Cands.begin(), Cands.end(), Mem);
-      std::copy(Cands.begin(), Cands.end(), Mem + Len);
-      E.Candidates = SlotSpan(Mem, Len);
-      E.OriginalCandidates = SlotSpan(Mem + Len, Len);
+      if (Len != 0) {
+        Slot *Mem = Alloc.allocate(2 * static_cast<size_t>(Len));
+        std::uninitialized_copy(Cands.begin(), Cands.end(), Mem);
+        std::uninitialized_copy(Cands.begin(), Cands.end(), Mem + Len);
+        E.Candidates = SlotSpan(Mem, Len);
+        E.OriginalCandidates = SlotSpan(Mem + Len, Len);
+      }
       Plan.Decisions.push_back(DecisionEvent::rangeComputed(
           E.Id, E.EarliestSlot, E.LatestSlot, static_cast<int>(Len),
           E.CommLevel));
@@ -626,6 +628,39 @@ private:
       }
     }
     return true;
+  }
+
+  /// The number of groups buildGroups would form from \p BySlot (slot ->
+  /// entry ids, in admission order), without touching a plan or its log. A
+  /// first-fit scan over every group at the slot picks the group
+  /// buildGroups' class index picks: canJoinGroup rejects a group of
+  /// another compatibility class at its first test.
+  int countGroups(const std::vector<CommEntry> &Entries,
+                  const std::map<Slot, std::vector<int>> &BySlot) {
+    int N = 0;
+    for (const auto &[S, Ids] : BySlot) {
+      std::vector<CommGroup> Groups;
+      for (int Id : Ids) {
+        const CommEntry &E = Entries[Id];
+        bool Joined = false;
+        for (CommGroup &G : Groups) {
+          if (canJoinGroup(G, Entries, E, S)) {
+            G.Members.push_back(Id);
+            Joined = true;
+            break;
+          }
+        }
+        if (!Joined) {
+          CommGroup G;
+          G.Kind = E.M.Kind;
+          G.M = E.M;
+          G.Members = {Id};
+          Groups.push_back(std::move(G));
+        }
+      }
+      N += static_cast<int>(Groups.size());
+    }
+    return N;
   }
 
   /// Buckets entries by chosen slot and forms compatibility groups.
@@ -1402,40 +1437,12 @@ private:
     std::vector<Slot> Cur(Active.size());
     int BestGroups = -1;
 
-    // Counts groups for a full assignment without materializing them.
-    auto countGroups = [&]() {
-      std::map<Slot, std::vector<int>> BySlot;
-      for (size_t I = 0; I != Active.size(); ++I)
-        BySlot[Cur[I]].push_back(Active[I]);
-      int N = 0;
-      for (auto &[S, Ids] : BySlot) {
-        std::vector<CommGroup> Groups;
-        for (int Id : Ids) {
-          CommEntry &E = Plan.Entries[Id];
-          bool Joined = false;
-          for (CommGroup &G : Groups) {
-            if (canJoinGroup(G, Plan.Entries, E, S)) {
-              G.Members.push_back(Id);
-              Joined = true;
-              break;
-            }
-          }
-          if (!Joined) {
-            CommGroup G;
-            G.Kind = E.M.Kind;
-            G.M = E.M;
-            G.Members = {Id};
-            Groups.push_back(std::move(G));
-          }
-        }
-        N += static_cast<int>(Groups.size());
-      }
-      return N;
-    };
-
     std::function<void(size_t)> Rec = [&](size_t I) {
       if (I == Active.size()) {
-        int N = countGroups();
+        std::map<Slot, std::vector<int>> BySlot;
+        for (size_t J = 0; J != Active.size(); ++J)
+          BySlot[Cur[J]].push_back(Active[J]);
+        int N = countGroups(Plan.Entries, BySlot);
         if (BestGroups < 0 || N < BestGroups) {
           BestGroups = N;
           Best = Cur;

@@ -169,17 +169,17 @@ int Routine::findScalar(const std::string &Name) const {
 
 AssignStmt *Routine::newAssign(ArrayRef Lhs, std::vector<RhsTerm> Rhs,
                                int NumOps) {
-  int Id = static_cast<int>(Arena.size());
+  int Id = static_cast<int>(Stmts.size());
   auto *S = new AssignStmt(Id, std::move(Lhs), std::move(Rhs), NumOps);
-  Arena.emplace_back(S);
+  Stmts.emplace_back(S);
   return S;
 }
 
 AssignStmt *Routine::newScalarAssign(int LhsScalarId,
                                      std::vector<RhsTerm> Rhs, int NumOps) {
-  int Id = static_cast<int>(Arena.size());
+  int Id = static_cast<int>(Stmts.size());
   auto *S = new AssignStmt(Id, LhsScalarId, std::move(Rhs), NumOps);
-  Arena.emplace_back(S);
+  Stmts.emplace_back(S);
   return S;
 }
 
@@ -187,16 +187,16 @@ LoopStmt *Routine::newLoop(int Var, AffineExpr Lo, AffineExpr Hi,
                            int64_t Step) {
   assert(Var >= 0 && Var < static_cast<int>(LoopVars.size()) &&
          "loop variable not declared");
-  int Id = static_cast<int>(Arena.size());
+  int Id = static_cast<int>(Stmts.size());
   auto *S = new LoopStmt(Id, Var, std::move(Lo), std::move(Hi), Step);
-  Arena.emplace_back(S);
+  Stmts.emplace_back(S);
   return S;
 }
 
 IfStmt *Routine::newIf(std::string Cond) {
-  int Id = static_cast<int>(Arena.size());
+  int Id = static_cast<int>(Stmts.size());
   auto *S = new IfStmt(Id, std::move(Cond));
-  Arena.emplace_back(S);
+  Stmts.emplace_back(S);
   return S;
 }
 

@@ -143,8 +143,8 @@ struct RhsTerm {
 
 enum class StmtKind : uint8_t { Assign, Loop, If };
 
-/// Base of the structured statement tree. Statements are arena-allocated and
-/// owned by their Routine; ids are dense and stable, assigned at creation.
+/// Base of the structured statement tree. Statements are owned by their
+/// Routine; ids are dense and stable, assigned at creation.
 class Stmt {
 public:
   StmtKind kind() const { return K; }
@@ -297,8 +297,8 @@ public:
   const std::vector<Stmt *> &body() const { return Body; }
   std::vector<Stmt *> &body() { return Body; }
 
-  unsigned numStmts() const { return static_cast<unsigned>(Arena.size()); }
-  Stmt *stmt(int Id) const { return Arena[Id].get(); }
+  unsigned numStmts() const { return static_cast<unsigned>(Stmts.size()); }
+  Stmt *stmt(int Id) const { return Stmts[Id].get(); }
 
   /// Visits every statement in the tree in source order (pre-order).
   void forEachStmt(const std::function<void(Stmt *)> &Fn) const;
@@ -308,7 +308,7 @@ private:
   std::vector<ArrayDecl> Arrays;
   std::vector<ScalarDecl> Scalars;
   std::vector<std::string> LoopVars;
-  std::vector<std::unique_ptr<Stmt>> Arena;
+  std::vector<std::unique_ptr<Stmt>> Stmts;
   std::vector<Stmt *> Body;
 };
 

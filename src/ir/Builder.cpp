@@ -127,16 +127,6 @@ AssignStmt *RoutineBuilder::sumInto(const std::string &ScalarName,
   return S;
 }
 
-AssignStmt *RoutineBuilder::scalarAssign(const std::string &ScalarName,
-                                         std::vector<RhsTerm> Rhs,
-                                         int NumOps) {
-  int Sid = R.findScalar(ScalarName);
-  assert(Sid >= 0 && "assignment target scalar not declared");
-  AssignStmt *S = R.newScalarAssign(Sid, std::move(Rhs), NumOps);
-  append(S);
-  return S;
-}
-
 LoopStmt *RoutineBuilder::beginLoop(const std::string &Var, AffineExpr Lo,
                                     AffineExpr Hi, int64_t Step) {
   int VarId = R.addLoopVar(Var);

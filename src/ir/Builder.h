@@ -77,9 +77,6 @@ public:
   /// `scalarName = sum(ref)` — a SUM reduction.
   AssignStmt *sumInto(const std::string &ScalarName, ArrayRef Arg);
 
-  AssignStmt *scalarAssign(const std::string &ScalarName,
-                           std::vector<RhsTerm> Rhs, int NumOps = 1);
-
   LoopStmt *beginLoop(const std::string &Var, AffineExpr Lo, AffineExpr Hi,
                       int64_t Step = 1);
   void endLoop();

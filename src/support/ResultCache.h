@@ -154,7 +154,6 @@ public:
                             bool *Hit = nullptr);
 
   CacheStats stats() const;
-  const Config &config() const { return Cfg; }
 
 private:
   using KeyT = std::pair<uint64_t, uint64_t>;

@@ -7,7 +7,6 @@
 
 #include "support/ThreadPool.h"
 
-#include "support/Arena.h"
 #include "support/StrUtil.h"
 #include "support/Trace.h"
 
@@ -84,9 +83,4 @@ void ThreadPool::workerLoop(unsigned Index) {
     if (Queue.empty() && NumActive == 0)
       IdleCV.notify_all();
   }
-  Lock.unlock();
-  // Arenas destroyed on this worker parked their blocks in its thread-local
-  // cache; the cache dies with the thread, so hand the blocks back to the
-  // allocator instead of leaking them.
-  Arena::freeThreadCache();
 }

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace gca;
 
 namespace {
@@ -443,4 +445,20 @@ TEST(IndexedPlacement, RangeWorkGrowsLinearlyWithTheRoutine) {
   ASSERT_GT(Steps1, 0);
   EXPECT_LE(static_cast<double>(Solves2) / static_cast<double>(Solves1), 2.5);
   EXPECT_LE(static_cast<double>(Steps2) / static_cast<double>(Steps1), 2.5);
+}
+
+//===----------------------------------------------------------------------===//
+// Plan memory belongs to the plan, not to the thread that placed it.
+//===----------------------------------------------------------------------===//
+
+TEST(Placement, CompileOnShortLivedThreadLeaksNothing) {
+  // A thread that compiles and exits must leave nothing behind: the plan's
+  // slot storage goes with the plan, and no thread has an exit duty. Only
+  // the LeakSanitizer build sees a leak, at process exit.
+  bool Ok = false;
+  std::thread T([&] {
+    Ok = compileSource(shallowWorkload().Source, CompileOptions()).Ok;
+  });
+  T.join();
+  EXPECT_TRUE(Ok);
 }
