@@ -14,8 +14,12 @@
 #   3. ASan/UBSan build + the whole suite, with bounds-checked standard
 #      containers (-D_GLIBCXX_ASSERTIONS) and UBSan reports fatal
 #      (-fno-sanitize-recover=undefined), so either one fails its test;
-#   4. TSan build, verifying that an 8-way batch compile of every built-in
-#      workload is race-free and bitwise equal to a serial run, that the
+#   4. TSan build, verifying that the thread pool's forEach, the routine
+#      fan-out with its file-order merge (the seeded routine-edit
+#      differential on a 3-worker pool) and a fanned-out compile racing
+#      concurrent server clients are race-free, that an 8-way batch compile
+#      of every built-in workload (whose idle workers also take routines)
+#      is race-free and bitwise equal to a serial run, that the
 #      shared result cache is race-free and single-flight under 8-way
 #      duplicated inputs, that the trace collector's lock-free per-thread
 #      lanes are race-free under an 8-way traced batch compile, and that
@@ -73,9 +77,10 @@ cmake -B build-asan -S . -DGCA_SANITIZE="address;undefined" "$@"
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "== thread sanitizer run (parallel batch driver) =="
+echo "== thread sanitizer run (routine fan-out, parallel batch driver) =="
 cmake -B build-tsan -S . -DGCA_SANITIZE="thread" "$@"
-cmake --build build-tsan -j "$JOBS" --target gca-compile
+cmake --build build-tsan -j "$JOBS" --target gca-compile gca_tests
+build-tsan/tests/gca_tests --gtest_filter='ThreadPoolTest.*:EditSequences/RoutineEditDifferential.*:ServerTest.ConcurrentClientsBitwiseIdentical'
 build-tsan/tools/gca-compile --workloads --jobs 8 --stats --lint \
   --verify-determinism > /dev/null
 

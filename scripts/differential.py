@@ -16,10 +16,17 @@ The corpus is every combination of
     --synth=2000, --synth=2000 --synth-seed=3000016, and each extra file
     (in a run of its own).
 
+The uncached runs pass --jobs 1, so every routine compiles on the
+session's own thread. The cached runs pass --jobs 4, so the change's
+compile of a multi-routine input spreads the routines it compiles over
+the pool's idle workers while the parent's compiles them in its own way.
+The outputs must match either way.
+
 Each configuration runs, in order:
-  1. uncached, with --stats --verify --lint --dump-decisions;
-  2. cold, then warm, under --cache=DIR with --stats --verify --lint
-     --cache-stats, each executable with a cache directory of its own;
+  1. uncached, with --jobs 1 --stats --verify --lint --dump-decisions;
+  2. cold, then warm, under --cache=DIR with --jobs 4 --stats --verify
+     --lint --cache-stats, each executable with a cache directory of its
+     own;
   3. the change replaying the directory the parent filled in step 2. It
      is compared with the parent's warm run, so a change that misses the
      parent's entries differs in its cache-stats line.
@@ -42,8 +49,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STRATEGIES = ["orig", "nored", "comb", "optimal", "earlycomb"]
 OPTION_SETS = [[], ["--defer-reductions", "--partial-redundancy"],
                ["--fuse"], ["--no-scalarize"]]
-UNCACHED = ["--stats", "--verify", "--lint", "--dump-decisions"]
-CACHED = ["--stats", "--verify", "--lint", "--cache-stats"]
+UNCACHED = ["--jobs", "1", "--stats", "--verify", "--lint",
+            "--dump-decisions"]
+CACHED = ["--jobs", "4", "--stats", "--verify", "--lint", "--cache-stats"]
 
 
 def corpus(extras):

@@ -7,7 +7,9 @@ owns the cache directories it fills; a stub of another cache format
 replaying such a directory reports a miss. The cases check that an
 identical pair passes, that a one-byte difference in one configuration
 fails and is named, that a change which cannot replay the parent's cache
-fails at the replay step, and that a missing executable is a usage error.
+fails at the replay step, that the uncached runs compile with --jobs 1 and
+the cached ones with --jobs 4, and that a missing executable is a usage
+error.
 
 Run: python3 scripts/test_differential.py
 """
@@ -26,6 +28,7 @@ import differential  # noqa: E402
 
 STUB = r"""#!/bin/sh
 format=%(format)s
+[ -n "$STUB_ARGS_LOG" ] && echo "$@" >> "$STUB_ARGS_LOG"
 dir=
 out=
 for a in "$@"; do
@@ -53,8 +56,8 @@ exit 0
 # Matches no configuration.
 NOWHERE = "never"
 # The uncached run of one configuration.
-ONE_CONFIG = ("*--strategy=nored\\ --fuse\\ --synth=2000\\ --stats\\ "
-              "--verify\\ --lint\\ --dump-decisions")
+ONE_CONFIG = ("*--strategy=nored\\ --fuse\\ --synth=2000\\ --jobs\\ 1\\ "
+              "--stats\\ --verify\\ --lint\\ --dump-decisions")
 
 
 class DifferentialTest(unittest.TestCase):
@@ -102,6 +105,22 @@ class DifferentialTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("--strategy=orig examples/*.hpf: change replaying "
                       "the parent's cache: stderr differs at line 1", out)
+
+    def test_uncached_runs_are_serial_and_cached_runs_fan_out(self):
+        log = os.path.join(self.tmp.name, "args.log")
+        os.environ["STUB_ARGS_LOG"] = log
+        self.addCleanup(os.environ.pop, "STUB_ARGS_LOG")
+        code, out = self.run_main(self.stub("parent"), self.stub("change"))
+        self.assertEqual(code, 0, out)
+        with open(log) as f:
+            runs = [args.split() for args in f.read().splitlines()]
+        self.assertEqual(len(runs), 100 * 7)
+        uncached = [args for args in runs
+                    if not any(a.startswith("--cache=") for a in args)]
+        self.assertEqual(len(uncached), 100 * 2)
+        for args in runs:
+            jobs = args[args.index("--jobs") + 1]
+            self.assertEqual(jobs, "1" if args in uncached else "4", args)
 
     def test_missing_executable_is_a_usage_error(self):
         code, out = self.run_main(self.stub("parent"),

@@ -13,6 +13,7 @@
 #include "support/Json.h"
 #include "support/ResultCache.h"
 #include "support/StrUtil.h"
+#include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "xform/Fuse.h"
 #include "xform/Scalarize.h"
@@ -20,6 +21,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <optional>
+#include <thread>
 
 using namespace gca;
 
@@ -63,7 +65,7 @@ static bool passParse(Session &S) {
   }
   S.forEachRoutine(
       "parse",
-      [](size_t, StatsRegistry &Stats) {
+      [](size_t, StatsRegistry &Stats, DiagEngine &) {
         Stats.add("frontend.routines");
         return true;
       },
@@ -77,8 +79,8 @@ static bool passScalarize(Session &S) {
   unsigned ErrsBefore = S.Diags.errorCount();
   S.forEachRoutine(
       "scalarize",
-      [&](size_t I, StatsRegistry &) {
-        scalarizeRoutine(*S.Result.Prog->Routines[I], S.Diags);
+      [&](size_t I, StatsRegistry &, DiagEngine &Diags) {
+        scalarizeRoutine(*S.Result.Prog->Routines[I], Diags);
         return true;
       },
       /*Timed=*/false);
@@ -94,7 +96,7 @@ static bool passFuse(Session &S) {
     return true;
   S.forEachRoutine(
       "fuse",
-      [&](size_t I, StatsRegistry &Stats) {
+      [&](size_t I, StatsRegistry &Stats, DiagEngine &) {
         Stats.add("fuse.loops-fused", fuseLoops(*S.Result.Prog->Routines[I]));
         return true;
       },
@@ -104,7 +106,8 @@ static bool passFuse(Session &S) {
 
 static bool passBuildContext(Session &S) {
   S.Result.Routines.resize(S.Result.Prog->Routines.size());
-  S.forEachRoutine("build-context", [&](size_t I, StatsRegistry &) {
+  S.forEachRoutine("build-context",
+                   [&](size_t I, StatsRegistry &, DiagEngine &) {
     RoutineResult &RR = S.Result.Routines[I];
     RR.R = S.Result.Prog->Routines[I].get();
     RR.Ctx = std::make_unique<AnalysisContext>(*RR.R);
@@ -183,15 +186,12 @@ static std::string unescapeSegmentText(const std::string &S) {
   return Out;
 }
 
-/// Encodes Diags[Begin..] — the diagnostics one routine's pass emitted.
-static std::string encodeDiagSegment(const std::vector<Diag> &Diags,
-                                     size_t Begin) {
+/// Encodes the diagnostics one routine's pass emitted.
+static std::string encodeDiagSegment(const std::vector<Diag> &Diags) {
   std::string Out;
-  for (size_t I = Begin; I < Diags.size(); ++I) {
-    const Diag &D = Diags[I];
+  for (const Diag &D : Diags)
     Out += strFormat("%d %d %d %s\n", static_cast<int>(D.Kind), D.Loc.Line,
                      D.Loc.Col, escapeSegmentText(D.Message).c_str());
-  }
   return Out;
 }
 
@@ -247,9 +247,10 @@ static void replayCounterSegment(const std::string &Text,
 //===----------------------------------------------------------------------===//
 
 static bool passPlacement(Session &S) {
-  PlacementOptions POpts = S.Opts.Placement;
-  S.forEachRoutine("placement", [&](size_t I, StatsRegistry &Stats) {
+  S.forEachRoutine("placement", [&](size_t I, StatsRegistry &Stats,
+                                    DiagEngine &) {
     RoutineResult &RR = S.Result.Routines[I];
+    PlacementOptions POpts = S.Opts.Placement;
     POpts.Stats = &Stats;
     RR.Plan = planCommunication(*RR.Ctx, POpts);
     traceDecisions(*RR.R, RR.Plan);
@@ -268,7 +269,8 @@ static bool passLower(Session &S) {
                                 S.Opts.Machine.c_str(), Names.c_str());
     return false;
   }
-  S.forEachRoutine("lower", [&](size_t I, StatsRegistry &Stats) {
+  S.forEachRoutine("lower", [&](size_t I, StatsRegistry &Stats,
+                                DiagEngine &) {
     RoutineResult &RR = S.Result.Routines[I];
     size_t DecisionsBefore = RR.Plan.Decisions.size();
     RR.Lowering =
@@ -282,11 +284,12 @@ static bool passLower(Session &S) {
 static bool passVerify(Session &S) {
   if (S.Opts.Verify == VerifyMode::Off)
     return true;
-  PlacementOptions POpts = S.Opts.Placement;
-  bool Ok = S.forEachRoutine("verify", [&](size_t I, StatsRegistry &Stats) {
+  bool Ok = S.forEachRoutine("verify", [&](size_t I, StatsRegistry &Stats,
+                                           DiagEngine &Diags) {
     RoutineResult &RR = S.Result.Routines[I];
+    PlacementOptions POpts = S.Opts.Placement;
     POpts.Stats = &Stats;
-    RR.Verify = verifyPlan(*RR.Ctx, RR.Plan, POpts, &S.Diags);
+    RR.Verify = verifyPlan(*RR.Ctx, RR.Plan, POpts, &Diags);
     return RR.Verify.ok();
   });
   S.Result.VerifyOk = S.Result.VerifyOk && Ok;
@@ -296,7 +299,8 @@ static bool passVerify(Session &S) {
 static bool passLint(Session &S) {
   if (!S.Opts.Lint)
     return true;
-  S.forEachRoutine("lint", [&](size_t I, StatsRegistry &Stats) {
+  S.forEachRoutine("lint", [&](size_t I, StatsRegistry &Stats,
+                               DiagEngine &Diags) {
     RoutineResult &RR = S.Result.Routines[I];
     std::optional<int> OrigGroups;
     if (S.Opts.Placement.Strat != Strategy::Orig) {
@@ -304,7 +308,7 @@ static bool passLint(Session &S) {
       Stats.add("placement.baseline-groups", *OrigGroups);
     }
     Stats.add("lint.warnings",
-              lintRoutine(*RR.Ctx, RR.Plan, OrigGroups, S.Diags));
+              lintRoutine(*RR.Ctx, RR.Plan, OrigGroups, Diags));
     return true;
   });
   return true;
@@ -364,8 +368,8 @@ bool Pipeline::run(Session &S) const {
 // Session
 //===----------------------------------------------------------------------===//
 
-Session::Session(std::string Source, CompileOptions Opts)
-    : Opts(std::move(Opts)), Source(std::move(Source)) {}
+Session::Session(std::string Source, CompileOptions Opts, ThreadPool *Pool)
+    : Opts(std::move(Opts)), Source(std::move(Source)), Pool(Pool) {}
 
 Session::~Session() = default;
 
@@ -394,31 +398,63 @@ void Session::replayResult(const CachedResult &R) {
   Replayed = true;
 }
 
-bool Session::forEachRoutine(
-    const char *Pass,
-    const std::function<bool(size_t I, StatsRegistry &Stats)> &Body,
-    bool Timed) {
+namespace {
+/// What one live routine's pass body produced when it ran into private
+/// sinks: Session::forEachRoutine merges these into the session in file
+/// order.
+struct RoutineRun {
+  StatsRegistry Stats;
+  DiagEngine Diags;
+  TimeRecord Time;
+  bool OtherThread = false; ///< Ran on a pool worker, not the session's thread.
+  bool Ok = true;
+};
+} // namespace
+
+bool Session::forEachRoutine(const char *Pass, const RoutineBody &Body,
+                             bool Timed) {
+  // Each live routine's body writes only its own sinks, so the bodies may
+  // run in any order and on any thread. The routine's own registry also
+  // sees every counter Body touches, zero increments included, which a
+  // diff of the session registry would not.
+  const size_t NumLive = Result.Prog->Routines.size();
+  std::vector<RoutineRun> Runs(NumLive);
+  const std::thread::id Owner = std::this_thread::get_id();
+  auto RunOne = [&](size_t I) {
+    RoutineRun &R = Runs[I];
+    std::optional<RegionTimer> T;
+    if (Timed)
+      T.emplace(Result.Prog->Routines[I]->name());
+    R.Ok = Body(I, R.Stats, R.Diags);
+    if (T)
+      R.Time = T->stop();
+    R.OtherThread = std::this_thread::get_id() != Owner;
+  };
+  if (Pool && Timed && NumLive >= 2)
+    Pool->forEach(NumLive, RunOne);
+  else
+    for (size_t I = 0; I != NumLive; ++I)
+      RunOne(I);
+
+  // The merge, in file order, is the only writer of the session's
+  // registry, diagnostics, routine regions and cache segments.
+  const bool Cached = routineCacheActive();
+  std::string DiagsKey, CountersKey, FailedKey;
+  if (Cached) {
+    DiagsKey = std::string("diags:") + Pass;
+    CountersKey = std::string("counters:") + Pass;
+    FailedKey = std::string("failed:") + Pass;
+  }
   bool AllOk = true;
-  if (!routineCacheActive()) {
-    for (size_t I = 0, N = Result.Prog->Routines.size(); I != N; ++I) {
+  size_t Live = 0;
+  const size_t NumRoutines = Cached ? RoutineCache.size() : NumLive;
+  for (size_t Slot = 0; Slot != NumRoutines; ++Slot) {
+    RoutineCacheEntry *E = Cached ? &RoutineCache[Slot] : nullptr;
+    if (E && E->Hit) {
       std::optional<ScopedTimer> T;
       if (Timed)
-        T.emplace(Times, Result.Prog->Routines[I]->name());
-      AllOk = Body(I, Stats) && AllOk;
-    }
-    return AllOk;
-  }
-  const std::string DiagsKey = std::string("diags:") + Pass;
-  const std::string CountersKey = std::string("counters:") + Pass;
-  const std::string FailedKey = std::string("failed:") + Pass;
-  size_t Live = 0;
-  for (RoutineCacheEntry &E : RoutineCache) {
-    std::optional<ScopedTimer> T;
-    if (Timed)
-      T.emplace(Times, E.Slice.Name);
-    std::vector<std::pair<std::string, std::string>> &Segments = E.Value.Dumps;
-    if (E.Hit) {
-      for (const auto &[Key, Text] : Segments) {
+        T.emplace(Times, E->Slice.Name);
+      for (const auto &[Key, Text] : E->Value.Dumps) {
         if (Key == DiagsKey)
           replayDiagSegment(Text, Diags);
         else if (Key == CountersKey)
@@ -428,21 +464,25 @@ bool Session::forEachRoutine(
       }
       continue;
     }
-    // The routine's own registry sees every counter Body touches, zero
-    // increments included, which a diff of the session registry would not.
-    size_t DiagsBefore = Diags.diags().size();
-    StatsRegistry Counted;
-    bool Ok = Body(Live++, Counted);
-    Stats.merge(Counted);
-    if (std::string Seg = encodeDiagSegment(Diags.diags(), DiagsBefore);
-        !Seg.empty())
-      Segments.emplace_back(DiagsKey, std::move(Seg));
-    if (std::string Seg = encodeCounterSegment(Counted.snapshot());
-        !Seg.empty())
-      Segments.emplace_back(CountersKey, std::move(Seg));
-    if (!Ok)
-      Segments.emplace_back(FailedKey, "");
-    AllOk = Ok && AllOk;
+    RoutineRun &R = Runs[Live];
+    if (Timed)
+      Times.add(Result.Prog->Routines[Live]->name(), R.Time, R.OtherThread);
+    ++Live;
+    if (E) {
+      std::vector<std::pair<std::string, std::string>> &Segments =
+          E->Value.Dumps;
+      if (std::string Seg = encodeDiagSegment(R.Diags.diags()); !Seg.empty())
+        Segments.emplace_back(DiagsKey, std::move(Seg));
+      if (std::string Seg = encodeCounterSegment(R.Stats.snapshot());
+          !Seg.empty())
+        Segments.emplace_back(CountersKey, std::move(Seg));
+      if (!R.Ok)
+        Segments.emplace_back(FailedKey, "");
+    }
+    Stats.merge(std::move(R.Stats));
+    for (const Diag &D : R.Diags.diags())
+      Diags.append(D);
+    AllOk = R.Ok && AllOk;
   }
   return AllOk;
 }

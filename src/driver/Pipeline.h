@@ -23,7 +23,8 @@
 /// them, and records dumps after the pass named by CompileOptions::DumpAfter.
 /// Passes do their per-routine work through Session::forEachRoutine, which
 /// is also where routines replayed from the routine cache skip that work
-/// (see RoutineCache below).
+/// (see RoutineCache below) and where a session with a thread pool compiles
+/// its routines concurrently.
 ///
 /// compileSource() in Compile.h is a thin wrapper over Session and remains
 /// the one-call entry point.
@@ -43,6 +44,7 @@
 namespace gca {
 
 class Session;
+class ThreadPool;
 
 /// One `routine` block of an HPF-lite source, as sliced by
 /// sliceRoutineSources() (driver/CachedPipeline.h): the marker line plus
@@ -92,7 +94,11 @@ bool isDumpAfterName(const std::string &Name);
 /// All state for one compilation of one source buffer.
 class Session {
 public:
-  Session(std::string Source, CompileOptions Opts);
+  /// \p Pool, when given, lends its idle workers to the timed passes'
+  /// per-routine work (see forEachRoutine); it must outlive the run. It is
+  /// an execution resource, not an option: outputs are the same without it.
+  Session(std::string Source, CompileOptions Opts,
+          ThreadPool *Pool = nullptr);
   ~Session();
   Session(const Session &) = delete;
   Session &operator=(const Session &) = delete;
@@ -142,21 +148,29 @@ public:
 
   bool routineCacheActive() const { return !RoutineCache.empty(); }
 
-  /// Runs \p Body(I, Stats) for each routine of the compilation in file
-  /// order, each inside a time region named after the routine when
-  /// \p Timed (the frontend passes, whose per-routine work costs little
-  /// next to a region's clock reads, pass false). I indexes the live
-  /// routines (Result.Prog->Routines, and Result.Routines once
-  /// build-context has run); Body adds its counters to Stats and returns
+  /// Runs \p Body(I, Stats, Diags) for each routine of the compilation,
+  /// each inside a time region named after the routine when \p Timed (the
+  /// frontend passes, whose per-routine work costs little next to a
+  /// region's clock reads, pass false). I indexes the live routines
+  /// (Result.Prog->Routines, and Result.Routines once build-context has
+  /// run); Body adds its counters to Stats, reports to Diags, and returns
   /// the routine's verdict for the pass (true when the pass has none).
   /// With the routine cache active, a routine that hit skips Body and
   /// replays the diagnostics, counters and verdict pass \p Pass recorded
   /// when it was computed; a routine that missed runs Body and records
   /// them. \returns true when every routine's verdict is true.
-  bool forEachRoutine(
-      const char *Pass,
-      const std::function<bool(size_t I, StatsRegistry &Stats)> &Body,
-      bool Timed = true);
+  ///
+  /// Every body runs into routine-private counters, diagnostics and time
+  /// record; a merge in file order is then the only writer of the
+  /// session's Stats, Diags, cache segments and routine regions. That lets
+  /// a timed pass with a Pool and two or more live routines run the bodies
+  /// concurrently (ThreadPool::forEach) and still leave the artifacts of a
+  /// serial run. Bodies must touch no other session state than their own
+  /// routine's.
+  using RoutineBody =
+      std::function<bool(size_t I, StatsRegistry &Stats, DiagEngine &Diags)>;
+  bool forEachRoutine(const char *Pass, const RoutineBody &Body,
+                      bool Timed = true);
 
   /// Installs a ResultCache hit into this session without running any pass:
   /// Result gains the cached flags, errors, rendered diagnostics and plan
@@ -179,6 +193,8 @@ public:
 
   CompileOptions Opts;
   std::string Source;
+  /// Workers for concurrent per-routine work; null compiles serially.
+  ThreadPool *Pool = nullptr;
 
   /// Accumulates across the whole run — frontend warnings are *kept* when
   /// verify/lint run later (they all render into Result.Diagnostics).

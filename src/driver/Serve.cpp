@@ -267,10 +267,10 @@ std::string renderCompileOutput(const std::string &Name, const Session &S,
 }
 
 CompileOutcome runCompileRequest(const CompileRequest &Req,
-                                 ResultCache *Cache) {
+                                 ResultCache *Cache, ThreadPool *Pool) {
   CompileOutcome Out;
   auto Start = std::chrono::steady_clock::now();
-  Session S(Req.Source, Req.Opts);
+  Session S(Req.Source, Req.Opts, Pool);
   bool CacheHit = false;
   if (Cache) {
     CachedPipeline CP(*Cache);
@@ -686,7 +686,7 @@ void CompileServer::handleCompile(const std::shared_ptr<Conn> &C,
     CompileOutcome Out;
     {
       TraceSpan CompileSpan("compile", "serve", {{"rid", Rid}});
-      Out = runCompileRequest(Req, Config.Cache);
+      Out = runCompileRequest(Req, Config.Cache, Pool.get());
     }
     Executing.fetch_sub(1, std::memory_order_relaxed);
     if (Out.Failed)

@@ -9,8 +9,10 @@
 /// The long-lived compile service behind `gca-compile --serve`: a daemon
 /// accepting length-prefixed JSON frames (support/Frame.h) over a Unix
 /// socket or a stdin/stdout pipe pair, dispatching compile requests onto a
-/// ThreadPool with one shared ResultCache across all clients, and streaming
-/// back per-request responses whose `output` field is bitwise-identical to
+/// ThreadPool with one shared ResultCache across all clients (a request
+/// whose file has several routines to compile also borrows the workers
+/// idle at that moment, ThreadPool::forEach), and streaming back
+/// per-request responses whose `output` field is bitwise-identical to
 /// what a one-shot `gca-compile` run prints for the same input — the server
 /// is a differential test target for the whole cached-pipeline stack.
 ///
@@ -130,9 +132,11 @@ std::string renderCompileOutput(const std::string &Name, const Session &S,
 
 /// Compiles \p Req (through \p Cache when non-null) and renders its
 /// outcome. This is the server's worker body and the load generator's
-/// local-expectation oracle.
+/// local-expectation oracle. \p Pool, when non-null, lends its idle workers
+/// to the compile's routines (Session); the output does not depend on it.
 CompileOutcome runCompileRequest(const CompileRequest &Req,
-                                 ResultCache *Cache);
+                                 ResultCache *Cache,
+                                 ThreadPool *Pool = nullptr);
 
 struct ServerConfig {
   /// Unix socket path for start(); unused by serveConnection().

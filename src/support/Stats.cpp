@@ -11,6 +11,7 @@
 #include "support/StrUtil.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 
 using namespace gca;
@@ -48,11 +49,15 @@ StatsRegistry::Snapshot StatsRegistry::diff(const Snapshot &Before) const {
   return Out;
 }
 
-void StatsRegistry::merge(const StatsRegistry &Other) {
-  Snapshot Theirs = Other.snapshot();
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (const auto &[Name, Value] : Theirs)
+void StatsRegistry::merge(StatsRegistry &&Other) {
+  assert(&Other != this && "merging a registry into itself");
+  std::scoped_lock Lock(Mu, Other.Mu);
+  // std::map::merge moves the nodes whose names are new here and leaves
+  // the others behind.
+  Counters.merge(Other.Counters);
+  for (const auto &[Name, Value] : Other.Counters)
     Counters[Name] += Value;
+  Other.Counters.clear();
 }
 
 std::string StatsRegistry::str() const {

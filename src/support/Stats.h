@@ -59,9 +59,9 @@ public:
   /// counters never decrease, so every entry is positive.
   Snapshot diff(const Snapshot &Before) const;
 
-  /// Folds every counter of \p Other into this registry (for aggregating
-  /// per-session registries into a batch-wide report).
-  void merge(const StatsRegistry &Other);
+  /// Folds every counter of \p Other into this registry and leaves \p Other
+  /// empty. A counter this registry lacks moves over without a copy.
+  void merge(StatsRegistry &&Other);
 
   /// Aligned "  <value> <name>" lines, ordered by name (the format of
   /// LLVM's -stats output).

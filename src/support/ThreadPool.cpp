@@ -11,6 +11,8 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 using namespace gca;
 
@@ -46,6 +48,48 @@ void ThreadPool::async(std::function<void()> Task) {
 void ThreadPool::wait() {
   std::unique_lock<std::mutex> Lock(Mu);
   IdleCV.wait(Lock, [this] { return Queue.empty() && NumActive == 0; });
+}
+
+void ThreadPool::forEach(size_t N, const std::function<void(size_t)> &Fn) {
+  // Shared with the helpers, which can outlive this call: one that starts
+  // after every index is claimed reads only Next and N.
+  struct Loop {
+    const std::function<void(size_t)> *Fn = nullptr;
+    size_t N = 0;
+    std::atomic<size_t> Next{0};
+    std::mutex Mu;
+    std::condition_variable DoneCV;
+    size_t Done = 0; ///< Indices finished; guarded by Mu.
+  };
+  auto L = std::make_shared<Loop>();
+  L->Fn = &Fn;
+  L->N = N;
+  std::function<void()> Claim = [L] {
+    for (size_t I; (I = L->Next.fetch_add(1)) < L->N;) {
+      (*L->Fn)(I);
+      std::lock_guard<std::mutex> Lock(L->Mu);
+      if (++L->Done == L->N)
+        L->DoneCV.notify_all();
+    }
+  };
+  if (N > 1) {
+    TraceCollector &C = TraceCollector::instance();
+    uint64_t EnqueueNs = C.enabled() ? C.nowNs() : UINT64_MAX;
+    size_t Helpers;
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      size_t Busy = NumActive + Queue.size();
+      Helpers = std::min(N - 1, Busy < Workers.size() ? Workers.size() - Busy
+                                                      : size_t(0));
+      for (size_t H = 0; H != Helpers; ++H)
+        Queue.push_back({Claim, EnqueueNs});
+    }
+    for (size_t H = 0; H != Helpers; ++H)
+      WorkCV.notify_one();
+  }
+  Claim();
+  std::unique_lock<std::mutex> Lock(L->Mu);
+  L->DoneCV.wait(Lock, [&] { return L->Done == N; });
 }
 
 void ThreadPool::workerLoop(unsigned Index) {

@@ -6,10 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A minimal fixed-size thread pool for the batch compilation driver: tasks
-/// are closures over independent compilation sessions, so the pool needs no
-/// futures or result plumbing — callers enqueue work with async() and
-/// rendezvous with wait(). Determinism is the caller's job (sessions share
+/// A minimal fixed-size thread pool for the batch compilation driver and the
+/// compile server: tasks are closures over independent compilation sessions,
+/// so the pool needs no futures or result plumbing — callers enqueue work
+/// with async() and rendezvous with wait(). forEach() lends the pool's idle
+/// workers to one caller's loop, which is how a session compiles its
+/// routines concurrently. Determinism is the caller's job (sessions share
 /// no mutable state; outputs are ordered by input, not completion).
 ///
 /// When the process-wide TraceCollector is enabled, every worker registers a
@@ -52,6 +54,16 @@ public:
 
   /// Blocks until every task enqueued so far has finished.
   void wait();
+
+  /// Runs \p Fn(0) .. \p Fn(N-1), each exactly once, and returns when all
+  /// have finished. The calling thread claims indices itself; each worker
+  /// idle at the call (Workers - NumActive - Queue.size(), so a saturated
+  /// pool queues nothing extra) gets one helper task that claims indices
+  /// too. The caller waits only for indices a worker has already started,
+  /// never for a queued helper, so forEach completes on a 1-worker pool and
+  /// from inside a task. A helper that starts after the last index was
+  /// claimed returns at once.
+  void forEach(size_t N, const std::function<void(size_t)> &Fn);
 
   unsigned numThreads() const { return static_cast<unsigned>(Workers.size()); }
 

@@ -39,40 +39,57 @@ const TimeTrace::Node *TimeTrace::Node::child(const std::string &Name) const {
   return nullptr;
 }
 
-void TimeTrace::enter(const std::string &Name) {
-  Node *Parent = Stack.empty() ? &Root : Stack.back().N;
-  Node *N = nullptr;
-  for (auto &C : Parent->Children)
-    if (C->Name == Name) {
-      N = C.get();
-      break;
-    }
-  if (!N) {
-    Parent->Children.push_back(std::make_unique<Node>());
-    N = Parent->Children.back().get();
-    N->Name = Name;
-  }
-  Stack.push_back({N, wallNow(), cpuNow()});
+RegionTimer::RegionTimer(const std::string &Name)
+    : WallStart(wallNow()), CpuStart(cpuNow()) {
   // Every timed region doubles as a trace span: the pipeline's pass and
-  // per-routine enter/exit points feed the trace for free.
+  // per-routine regions feed the trace for free.
   TraceCollector &C = TraceCollector::instance();
   if (C.enabled())
     C.beginSpan(Name, "region");
 }
 
-TimeRecord TimeTrace::exit() {
-  assert(!Stack.empty() && "exit() without matching enter()");
+TimeRecord RegionTimer::stop() {
   TraceCollector &C = TraceCollector::instance();
   if (C.enabled())
     C.endSpan();
+  TimeRecord T;
+  T.WallSec = wallNow() - WallStart;
+  T.CpuSec = cpuNow() - CpuStart;
+  T.Invocations = 1;
+  return T;
+}
+
+TimeTrace::Node &TimeTrace::child(const std::string &Name) {
+  Node *Parent = Stack.empty() ? &Root : Stack.back().N;
+  for (auto &C : Parent->Children)
+    if (C->Name == Name)
+      return *C;
+  Parent->Children.push_back(std::make_unique<Node>());
+  Parent->Children.back()->Name = Name;
+  return *Parent->Children.back();
+}
+
+void TimeTrace::enter(const std::string &Name) {
+  Node &N = child(Name);
+  Stack.push_back({&N, RegionTimer(Name)});
+}
+
+TimeRecord TimeTrace::exit() {
+  assert(!Stack.empty() && "exit() without matching enter()");
   Open O = Stack.back();
   Stack.pop_back();
-  TimeRecord Delta;
-  Delta.WallSec = wallNow() - O.WallStart;
-  Delta.CpuSec = cpuNow() - O.CpuStart;
-  Delta.Invocations = 1;
+  TimeRecord Delta = O.Timer.stop();
+  Delta.CpuSec += O.OtherThreadCpu;
   O.N->Time += Delta;
   return Delta;
+}
+
+void TimeTrace::add(const std::string &Name, const TimeRecord &T,
+                    bool OtherThread) {
+  child(Name).Time += T;
+  if (OtherThread)
+    for (Open &O : Stack)
+      O.OtherThreadCpu += T.CpuSec;
 }
 
 TimeRecord TimeTrace::total() const {

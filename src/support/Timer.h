@@ -11,7 +11,9 @@
 /// nodes, so nested regions — a pass timing its per-routine work — show up
 /// as children in the hierarchical report, LLVM `-time-passes` style. A
 /// trace belongs to one compilation session and is not thread-safe; each
-/// concurrent compilation owns its own trace.
+/// concurrent compilation owns its own trace. A region that runs on another
+/// thread (a routine a pool worker compiles for the session) is timed there
+/// by a RegionTimer and recorded afterwards with add().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +42,22 @@ struct TimeRecord {
   }
 };
 
+/// A stopwatch for one region on the calling thread: wall clock and that
+/// thread's CPU time, plus the region's "region" trace span on the thread's
+/// lane. TimeTrace uses one per open region.
+class RegionTimer {
+public:
+  /// Reads both clocks and opens the trace span.
+  explicit RegionTimer(const std::string &Name);
+  /// Closes the trace span. \returns the time since construction, one
+  /// invocation. Call once, on the constructing thread.
+  TimeRecord stop();
+
+private:
+  double WallStart;
+  double CpuStart;
+};
+
 class TimeTrace {
 public:
   struct Node {
@@ -63,6 +81,12 @@ public:
   /// returns to its parent. \returns the time added by this enter/exit pair.
   TimeRecord exit();
 
+  /// Adds \p T to the child region \p Name of the current region (opening
+  /// it if new) without entering it: the record of a region a RegionTimer
+  /// timed. When \p OtherThread, that CPU time was spent off this thread,
+  /// so every region open now also adds it when it closes.
+  void add(const std::string &Name, const TimeRecord &T, bool OtherThread);
+
   /// The region tree (children of the synthetic "total" root are the
   /// top-level regions). Totals are meaningful only when every enter() has
   /// been exited.
@@ -82,9 +106,13 @@ public:
 private:
   struct Open {
     Node *N;
-    double WallStart;
-    double CpuStart;
+    RegionTimer Timer;
+    /// CPU seconds that add() recorded from other threads while open.
+    double OtherThreadCpu = 0;
   };
+
+  /// The child \p Name of the current region, created when absent.
+  Node &child(const std::string &Name);
 
   Node Root;
   std::vector<Open> Stack;

@@ -827,8 +827,8 @@ TEST(RoutineCacheTest, ReplayedVerdictsMatchUncached) {
   for (const Pass &Stage : Pipeline::standard().passes())
     Checked.add(Stage.Name, Stage.Fn);
   Checked.add("reject-r1", [](Session &S) {
-    bool Ok =
-        S.forEachRoutine("reject-r1", [&](size_t I, StatsRegistry &Stats) {
+    bool Ok = S.forEachRoutine(
+        "reject-r1", [&](size_t I, StatsRegistry &Stats, DiagEngine &) {
           Stats.add("reject-r1.checked");
           return S.Result.Prog->Routines[I]->name() != "r1";
         });
@@ -1129,6 +1129,9 @@ TEST_P(RoutineEditDifferential, CachedEqualsUncachedAtEveryStep) {
                                  {"comb --fuse", Strategy::Global, true}};
   if (Large)
     Configs.resize(1);
+  // The cached compiles spread their missed routines over a pool; the
+  // uncached reference compiles serially.
+  ThreadPool Pool(3);
   for (const Config &C : Configs) {
     SCOPED_TRACE(C.Name);
     CompileOptions Opts;
@@ -1137,13 +1140,13 @@ TEST_P(RoutineEditDifferential, CachedEqualsUncachedAtEveryStep) {
     Opts.Verify = VerifyMode::Final;
     Opts.Lint = true;
     ResultCache Cache;
-    Session First(Start, Opts);
+    Session First(Start, Opts, &Pool);
     CachedPipeline(Cache).run(First);
     for (size_t I = 0; I != Steps.size(); ++I) {
       const EditStep &Step = Steps[I];
       SCOPED_TRACE("step " + std::to_string(I) + ": " + Step.What);
       CacheStats Before = Cache.stats();
-      Session Cached(Step.Source, Opts);
+      Session Cached(Step.Source, Opts, &Pool);
       bool WholeFileHit = CachedPipeline(Cache).run(Cached);
       size_t LiveRoutines = Cached.Result.Routines.size();
       Observed Got = observe(Cached);

@@ -109,6 +109,53 @@ TEST(Pipeline, PassRecordsCoverStandardPipeline) {
   EXPECT_EQ(Total.Invocations, 8);
 }
 
+TEST(Pipeline, PooledCompileListsRoutineRegionsOnceInFileOrder) {
+  // A file of eight routines compiled with a pool: each timed pass lists
+  // its routine regions once each, in file order, whichever worker ran
+  // them; the pass's CPU time covers its routines' CPU time, wherever it
+  // was spent; and everything but the timings equals the serial compile.
+  CompileOptions Opts;
+  Opts.Verify = VerifyMode::Final;
+  Opts.Lint = true;
+  const std::string Source = synthRoutinesSource(8, 20, 3);
+  ThreadPool Pool(4);
+  Session Pooled(Source, Opts, &Pool);
+  ASSERT_TRUE(Pooled.run());
+  std::vector<std::string> FileOrder;
+  for (int R = 0; R != 8; ++R)
+    FileOrder.push_back("r" + std::to_string(R));
+  for (const char *Pass :
+       {"build-context", "placement", "lower", "verify", "lint"}) {
+    SCOPED_TRACE(Pass);
+    const TimeTrace::Node *P = Pooled.Times.root().child(Pass);
+    ASSERT_NE(P, nullptr);
+    std::vector<std::string> Regions;
+    double RoutineCpu = 0;
+    for (const auto &C : P->Children) {
+      Regions.push_back(C->Name);
+      EXPECT_EQ(C->Time.Invocations, 1) << C->Name;
+      RoutineCpu += C->Time.CpuSec;
+    }
+    EXPECT_EQ(Regions, FileOrder);
+    EXPECT_GE(P->Time.CpuSec + 1e-9, RoutineCpu);
+  }
+
+  Session Serial(Source, Opts);
+  ASSERT_TRUE(Serial.run());
+  auto PassCounters = [](const Session &S) {
+    std::vector<std::pair<std::string, StatsRegistry::Snapshot>> Out;
+    for (const PassRecord &P : S.Passes)
+      Out.emplace_back(P.Name, P.Counters);
+    return Out;
+  };
+  EXPECT_EQ(PassCounters(Pooled), PassCounters(Serial));
+  EXPECT_EQ(Pooled.Stats.snapshot(), Serial.Stats.snapshot());
+  CompileResult PooledRes = Pooled.take(), SerialRes = Serial.take();
+  EXPECT_EQ(PooledRes.VerifyOk, SerialRes.VerifyOk);
+  EXPECT_EQ(PooledRes.Diagnostics, SerialRes.Diagnostics);
+  EXPECT_EQ(PooledRes.planText(), SerialRes.planText());
+}
+
 TEST(Pipeline, DumpAfterRecordsSnapshot) {
   CompileOptions Opts;
   Opts.DumpAfter = "scalarize";

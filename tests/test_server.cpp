@@ -232,7 +232,10 @@ TEST(ServerTest, ResponseBitwiseIdenticalToOneShot) {
 
 TEST(ServerTest, ConcurrentClientsBitwiseIdentical) {
   const int NumClients = 4, PerClient = 4;
-  std::vector<std::string> Sources = {smallSource(), slowSource()};
+  // The eight-routine file fans out over the server's idle workers while
+  // other clients' compiles compete for them.
+  std::vector<std::string> Sources = {smallSource(), slowSource(),
+                                      synthRoutinesSource(8, 20, 3)};
   std::vector<std::string> Expected;
   for (size_t I = 0; I < Sources.size(); ++I) {
     CompileRequest Req = requestFor(Sources[I], 0);

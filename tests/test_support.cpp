@@ -14,7 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <random>
+#include <thread>
 
 using namespace gca;
 
@@ -122,9 +126,10 @@ TEST(Stats, MergeAndRender) {
   A.add("n", 1);
   B.add("n", 2);
   B.add("m", 3);
-  A.merge(B);
+  A.merge(std::move(B));
   EXPECT_EQ(A.get("n"), 3);
   EXPECT_EQ(A.get("m"), 3);
+  EXPECT_TRUE(B.empty());
   EXPECT_EQ(A.json(), "{\"m\":3,\"n\":3}");
   EXPECT_NE(A.str().find("3 m\n"), std::string::npos);
 }
@@ -167,6 +172,31 @@ TEST(Timer, ExitReturnsDelta) {
   EXPECT_EQ(T.total().Invocations, 1);
 }
 
+TEST(Timer, AddRecordsARegionTimedOnAnotherThread) {
+  TimeTrace T;
+  T.enter("pass");
+  TimeRecord Here{0.5, 0.25, 1};
+  TimeRecord There{2.0, 1.5, 1};
+  T.add("r0", Here, /*OtherThread=*/false);
+  T.add("r1", There, /*OtherThread=*/true);
+  T.add("r0", Here, /*OtherThread=*/false);
+  TimeRecord Pass = T.exit();
+  const TimeTrace::Node *P = T.root().child("pass");
+  ASSERT_NE(P, nullptr);
+  ASSERT_EQ(P->Children.size(), 2u);
+  EXPECT_EQ(P->Children[0]->Name, "r0");
+  EXPECT_EQ(P->Children[0]->Time.Invocations, 2);
+  EXPECT_EQ(P->Children[0]->Time.CpuSec, 0.5);
+  EXPECT_EQ(P->Children[1]->Name, "r1");
+  EXPECT_EQ(P->Children[1]->Time.WallSec, 2.0);
+  // Only the other thread's CPU joins the pass: this thread's own clock
+  // already covers the regions it ran.
+  EXPECT_GE(Pass.CpuSec, 1.5);
+  EXPECT_LT(Pass.CpuSec, 1.5 + 0.25);
+  EXPECT_LT(Pass.WallSec, 2.0);
+  EXPECT_EQ(P->Time.CpuSec, Pass.CpuSec);
+}
+
 TEST(Timer, ReportAndJsonShapes) {
   TimeTrace T;
   {
@@ -206,6 +236,72 @@ TEST(ThreadPoolTest, WaitIsReusable) {
   Pool.async([&Count] { ++Count; });
   Pool.wait();
   EXPECT_EQ(Count.load(), 2);
+}
+
+TEST(ThreadPoolTest, ForEachRunsEveryIndexOnce) {
+  ThreadPool Pool(4);
+  for (size_t N : {0, 1, 100}) {
+    std::vector<std::atomic<int>> Runs(N);
+    Pool.forEach(N, [&Runs](size_t I) { ++Runs[I]; });
+    for (size_t I = 0; I != N; ++I)
+      EXPECT_EQ(Runs[I].load(), 1) << "N=" << N << " index " << I;
+  }
+}
+
+TEST(ThreadPoolTest, ForEachInsideTheOnlyWorkerRunsOnTheCaller) {
+  ThreadPool Pool(1);
+  int Runs = 0, OnCaller = 0;
+  bool Returned = false;
+  Pool.async([&] {
+    std::thread::id Caller = std::this_thread::get_id();
+    Pool.forEach(10, [&](size_t) {
+      ++Runs;
+      OnCaller += std::this_thread::get_id() == Caller;
+    });
+    Returned = true;
+  });
+  Pool.wait();
+  EXPECT_TRUE(Returned);
+  EXPECT_EQ(Runs, 10);
+  EXPECT_EQ(OnCaller, 10);
+}
+
+TEST(ThreadPoolTest, ForEachCompletesWhileEveryOtherWorkerIsBlocked) {
+  ThreadPool Pool(4);
+  std::mutex Mu;
+  std::condition_variable CV;
+  int Blocked = 0;
+  bool LatchOpen = false, Returned = false;
+  for (int W = 0; W != 3; ++W)
+    Pool.async([&] {
+      std::unique_lock<std::mutex> Lock(Mu);
+      ++Blocked;
+      CV.notify_all();
+      CV.wait(Lock, [&] { return LatchOpen; });
+    });
+  {
+    std::unique_lock<std::mutex> Lock(Mu);
+    CV.wait(Lock, [&] { return Blocked == 3; });
+  }
+  std::atomic<int> Runs{0};
+  Pool.async([&] {
+    Pool.forEach(50, [&Runs](size_t) { ++Runs; });
+    std::lock_guard<std::mutex> Lock(Mu);
+    Returned = true;
+    CV.notify_all();
+  });
+  bool InTime;
+  {
+    std::unique_lock<std::mutex> Lock(Mu);
+    InTime = CV.wait_for(Lock, std::chrono::seconds(60),
+                         [&] { return Returned; });
+    // Open the latch either way, so a failure fails instead of hanging.
+    LatchOpen = true;
+    CV.notify_all();
+  }
+  Pool.wait();
+  EXPECT_TRUE(InTime) << "forEach waited on a worker that never came";
+  EXPECT_EQ(Runs.load(), 50);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {

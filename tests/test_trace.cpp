@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Compile.h"
+#include "driver/Pipeline.h"
 #include "driver/Serve.h"
 #include "support/Json.h"
 #include "support/Stats.h"
@@ -389,6 +390,57 @@ TEST(Trace, EightWorkerLanesNoCorruption) {
   for (int W = 0; W != 8; ++W)
     EXPECT_NE(J.find("\"name\":\"lanetest-" + std::to_string(W) + "\""),
               std::string::npos);
+}
+
+TEST(Trace, PooledCompileOpensRoutineRegionsOnTheirWorkersLanes) {
+  // A session that lends its routines to a pool: each routine region's span
+  // opens and closes on the lane of the thread that ran it, so every lane
+  // balances, and each timed pass shows every routine exactly once.
+  TraceCollector &C = TraceCollector::instance();
+  C.enable();
+  C.setThreadName("main");
+  {
+    ThreadPool Pool(4, "fan");
+    CompileOptions Opts;
+    Opts.Verify = VerifyMode::Final;
+    Opts.Lint = true;
+    Session S(synthRoutinesSource(8, 20, 3), Opts, &Pool);
+    EXPECT_TRUE(S.run());
+  } // Workers joined: the collector is quiescent.
+  C.disable();
+
+  JsonValue Trace;
+  std::string Err;
+  ASSERT_TRUE(JsonValue::parse(C.exportChromeJson(), Trace, Err)) << Err;
+  std::map<int64_t, std::string> LaneNames;
+  std::map<int64_t, int> Depth;
+  std::map<std::string, int> RoutineSpans;
+  for (const JsonValue &Ev : Trace.get("traceEvents")->array()) {
+    const std::string &Ph = Ev.get("ph")->stringValue();
+    int64_t Tid = Ev.get("tid")->intValue();
+    if (Ph == "M")
+      LaneNames[Tid] = Ev.get("args")->get("name")->stringValue();
+    if (Ph == "E") {
+      EXPECT_GE(--Depth[Tid], 0) << "lane " << Tid;
+      continue;
+    }
+    if (Ph != "B")
+      continue;
+    ++Depth[Tid];
+    const std::string &Name = Ev.get("name")->stringValue();
+    if (Ev.get("cat")->stringValue() == "region" && Name[0] == 'r') {
+      ++RoutineSpans[Name];
+      EXPECT_TRUE(LaneNames[Tid] == "main" ||
+                  LaneNames[Tid].rfind("fan-", 0) == 0)
+          << Name << " on lane '" << LaneNames[Tid] << "'";
+    }
+  }
+  for (const auto &[Tid, D] : Depth)
+    EXPECT_EQ(D, 0) << "lane " << Tid;
+  // build-context, placement, lower, verify and lint time each routine.
+  ASSERT_EQ(RoutineSpans.size(), 8u);
+  for (const auto &[Name, N] : RoutineSpans)
+    EXPECT_EQ(N, 5) << Name;
 }
 
 //===----------------------------------------------------------------------===//

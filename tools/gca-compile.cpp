@@ -139,15 +139,16 @@ struct Output {
   bool CacheHit = false;
 };
 
-/// One compilation of \p In. \p PrevWalls is non-null only on the last run
+/// One compilation of \p In, its routines spread over \p Pool's idle
+/// workers when non-null. \p PrevWalls is non-null only on the last run
 /// of a --repeat series: the wall times of the earlier runs, so the timing
 /// report can include min/median over the whole series.
 Output compileOneRun(const Input &In, const ToolOptions &Opts,
-                     const std::vector<double> *PrevWalls) {
+                     ThreadPool *Pool, const std::vector<double> *PrevWalls) {
   Output Out;
   TraceSpan Span("compile", "driver", {{"input", In.Name}});
   auto Start = std::chrono::steady_clock::now();
-  Session S(In.Source, Opts.Compile);
+  Session S(In.Source, Opts.Compile, Pool);
   bool CacheHit = false;
   if (Opts.Cache) {
     CachedPipeline CP(*Opts.Cache);
@@ -224,15 +225,16 @@ Output compileOneRun(const Input &In, const ToolOptions &Opts,
 /// deterministic output must be identical across the series (plans must not
 /// depend on run-to-run state), and the last run's timing report carries
 /// min/median wall time over all runs.
-Output compileOne(const Input &In, const ToolOptions &Opts) {
+Output compileOne(const Input &In, const ToolOptions &Opts,
+                  ThreadPool *Pool) {
   int Repeat = Opts.Repeat < 1 ? 1 : Opts.Repeat;
   if (Repeat == 1)
-    return compileOneRun(In, Opts, nullptr);
+    return compileOneRun(In, Opts, Pool, nullptr);
   std::vector<double> Walls;
   Output First;
   for (int Run = 0; Run != Repeat; ++Run) {
     bool Last = Run == Repeat - 1;
-    Output Cur = compileOneRun(In, Opts, Last ? &Walls : nullptr);
+    Output Cur = compileOneRun(In, Opts, Pool, Last ? &Walls : nullptr);
     Walls.push_back(Cur.WallSec);
     if (Run == 0) {
       First = std::move(Cur);
@@ -263,18 +265,19 @@ Output compileOne(const Input &In, const ToolOptions &Opts) {
 }
 
 /// Compiles every input with \p Jobs workers; outputs land in input order.
+/// Workers left idle by the inputs compile the routines of those running.
 std::vector<Output> compileAll(const std::vector<Input> &Inputs,
                                const ToolOptions &Opts, unsigned Jobs) {
   std::vector<Output> Outputs(Inputs.size());
   if (Jobs <= 1) {
     for (size_t I = 0; I != Inputs.size(); ++I)
-      Outputs[I] = compileOne(Inputs[I], Opts);
+      Outputs[I] = compileOne(Inputs[I], Opts, nullptr);
     return Outputs;
   }
   ThreadPool Pool(Jobs);
   for (size_t I = 0; I != Inputs.size(); ++I)
-    Pool.async([&Inputs, &Outputs, &Opts, I] {
-      Outputs[I] = compileOne(Inputs[I], Opts);
+    Pool.async([&Inputs, &Outputs, &Opts, &Pool, I] {
+      Outputs[I] = compileOne(Inputs[I], Opts, &Pool);
     });
   Pool.wait();
   return Outputs;
@@ -476,7 +479,8 @@ int usage(const char *Argv0) {
       "log\n"
       "                         (incompatible with --cache)\n"
       "  --jobs N, -j N         compile N inputs concurrently (default 1,\n"
-      "                         at most 1024)\n"
+      "                         at most 1024); idle workers also take the\n"
+      "                         routines of a multi-routine input\n"
       "  --stats                print the counter registry per input\n"
       "  --time-report[=json]   per-pass timing (and counter) report\n"
       "  --dump-after=PASS      dump program/plans after PASS of the "
